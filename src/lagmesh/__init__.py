@@ -23,7 +23,6 @@ from .observables import (
     expval_momentum,
     expval_radial,
     hamiltonian_consistency,
-    second_derivative_matrix,
     wavefunction_momentum,
     wavefunction_position,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "quadrature",
     "reduced_wavefunction",
     "scale_energy",
-    "second_derivative_matrix",
     "select_bound_states",
     "solve",
     "solve_config",

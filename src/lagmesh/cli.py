@@ -285,15 +285,13 @@ def run_wavefunction(cfg: RunConfig) -> None:
         raise NumericalError("no bound state to export")
     state = states[min(cfg.wave_state, len(states) - 1)]
     print(f"state (n={state.n}, l={state.l})  energy = {_fmt(state.energy)}")
-    rows = []
     if cfg.wave_space == "momentum":
         header = ["q", "u"]
-        for q in cfg.wave_grid:
-            rows.append([_fmt(q), _fmt(q * wavefunction_momentum(state, q))])
+        values = wavefunction_momentum(state, cfg.wave_grid)
     else:
         header = ["r", "u"]
-        for r in cfg.wave_grid:
-            rows.append([_fmt(r), _fmt(r * wavefunction_position(state, r))])
+        values = wavefunction_position(state, cfg.wave_grid)
+    rows = [[_fmt(x), _fmt(x * v)] for x, v in zip(cfg.wave_grid, values)]
     out = cfg.out or "wavefunction.csv"
     write_csv(out, header, rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -346,7 +344,7 @@ def run_compare(cfg: RunConfig) -> None:
     print(f"wrote {out}")
 
 
-def _table1(cfg: RunConfig) -> tuple[list, list]:
+def _table1() -> tuple[list, list]:
     potential = GaussianPotential(15.0, 1.0)
     kinetic = NonrelativisticKinetic(1.0, 1.0)
     config_problem = ConfigProblem(potential, 0, 0.5, 100, 0.4)
@@ -384,7 +382,7 @@ def _table1(cfg: RunConfig) -> tuple[list, list]:
     return header, rows
 
 
-def _table2(cfg: RunConfig) -> tuple[list, list]:
+def _table2() -> tuple[list, list]:
     # Momentum solves at h = 0.5: the printed reference values reproduce
     # there cell for cell, not at the nominal 0.4.
     potential = GaussianPotential(3.0, 1.0)
@@ -410,7 +408,7 @@ def _table2(cfg: RunConfig) -> tuple[list, list]:
     return header, rows
 
 
-def _table3(cfg: RunConfig) -> tuple[list, list]:
+def _table3() -> tuple[list, list]:
     potential = YukawaPotential(10.0, 1.0)
     kinetic = NonrelativisticKinetic(1.0, 1.0)
     settings = [  # (n, l, momentum h, configuration h_r)
@@ -453,7 +451,7 @@ def run_table(cfg: RunConfig) -> None:
     builders = {1: _table1, 2: _table2, 3: _table3}
     if cfg.table not in builders:
         raise ConfigurationError(f"run.table must be 1, 2 or 3, got {cfg.table}")
-    header, rows = builders[cfg.table](cfg)
+    header, rows = builders[cfg.table]()
     out = cfg.out or f"table{cfg.table}.csv"
     write_csv(out, header, rows)
     print(f"wrote {out}")

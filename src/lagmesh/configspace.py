@@ -2,12 +2,13 @@
 
 Independent route used to cross-validate momentum-space results: the same
 Laguerre mesh carries the reduced radial Schroedinger equation in r, where
-the potential is diagonal and the kinetic matrix reuses the mesh
-second-derivative approximation,
+the potential is diagonal and the kinetic matrix is the radial form of
+:mod:`lagmesh.mesh` divided by h_r^2,
 
     H_ij = (2 mu h_r^2)^-1 (t_ij + l(l+1)/x_i^2 delta_ij) + V(h_r x_i) delta_ij.
 
-Semirelativistic kinematics is deliberately not supported here.
+The reduced wavefunction is the Lagrange expansion of :mod:`lagmesh.mesh`
+times r. Semirelativistic kinematics is deliberately not supported here.
 """
 
 import math
@@ -17,12 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .mesh import LaguerreMesh, build_mesh
-from .observables import second_derivative_matrix
+from .mesh import LaguerreMesh, build_mesh, lagrange_expansion, radial_form
 from .linalg import eigh_refined
 from .solver import BoundState, select_bound_states
 from .kinetics import NonrelativisticKinetic
-from .specfun import laguerre_weighted
 
 __all__ = [
     "ConfigProblem",
@@ -58,16 +57,9 @@ class ConfigProblem:
         return build_mesh(self.size, self.scale)
 
 
-def _kinetic_form(mesh: LaguerreMesh, l: int) -> np.ndarray:
-    """(t_ij + l(l+1)/x_i^2 delta_ij) / h_r^2, i.e. the q^2 quadratic form."""
-    t = second_derivative_matrix(mesh)
-    form = t + np.diag(l * (l + 1) / (mesh.nodes * mesh.nodes))
-    return form / (mesh.scale * mesh.scale)
-
-
 def assemble_config_hamiltonian(problem: ConfigProblem) -> np.ndarray:
     m = problem.mesh()
-    values = _kinetic_form(m, problem.l) / (2.0 * problem.mu)
+    values = radial_form(m, problem.l) / (m.scale * m.scale) / (2.0 * problem.mu)
     radial = np.array(
         [problem.potential.radial_value(m.scale * x) for x in m.nodes], dtype=float
     )
@@ -100,35 +92,25 @@ def expval_radial_config(state: BoundState, k) -> float:
     """Radial mean value, diagonal in configuration space: sum C_j^2 K(h x_j)."""
     m = state.mesh
     values = np.array([k(m.scale * x) for x in m.nodes], dtype=float)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NumericalError(
+            f"radial observable not finite at mesh node {bad + 1} "
+            f"(r={m.scale * m.nodes[bad]!r})"
+        )
     return float(np.dot(state.coefficients**2, values))
 
 
 def expval_kinetic_config(state: BoundState, problem: ConfigProblem) -> float:
-    """<q^2> through the second-derivative quadratic form."""
-    form = _kinetic_form(state.mesh, problem.l)
+    """<q^2> through the radial form divided by h_r^2."""
+    m = state.mesh
+    form = radial_form(m, problem.l) / (m.scale * m.scale)
     return float(state.coefficients @ form @ state.coefficients)
 
 
 def reduced_wavefunction(state: BoundState, r):
-    """u(r) = r R(r) = sum_j C_j f_j(r / h_r) / sqrt(h_r), any r >= 0."""
-    m = state.mesh
-    x = np.atleast_1d(np.asarray(r, dtype=float)) / m.scale
-    scalar = np.ndim(r) == 0
-    out = np.empty_like(x)
-    nodes = m.nodes
-    signs = np.where(np.arange(1, m.size + 1) % 2 == 0, 1.0, -1.0)
-    coeff = state.coefficients * signs / np.sqrt(nodes)
-    damped = laguerre_weighted(m.size, x)
-    for idx, xv in enumerate(x):
-        near = np.abs(xv - nodes) < 1e-10
-        if np.any(near):
-            j = int(np.flatnonzero(near)[0])
-            denom = xv - nodes
-            denom[j] = 1.0
-            terms = coeff * xv / denom * damped[idx]
-            terms[j] = state.coefficients[j] / math.sqrt(m.weights[j])
-            out[idx] = terms.sum()
-        else:
-            out[idx] = damped[idx] * xv * float(np.dot(coeff, 1.0 / (xv - nodes)))
-    out /= math.sqrt(m.scale)
-    return float(out[0]) if scalar else out
+    """u(r) = r R(r) = sum_j C_j f_j(r / h_r) / sqrt(h_r), scalar or array r >= 0."""
+    h = state.mesh.scale
+    x = np.divide(r, h)
+    out = x * lagrange_expansion(state.mesh, state.coefficients, x) / math.sqrt(h)
+    return float(out) if np.ndim(r) == 0 else out

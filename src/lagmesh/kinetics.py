@@ -10,8 +10,6 @@ __all__ = [
     "NonrelativisticKinetic",
     "SalpeterKinetic",
     "CustomKinetic",
-    "kinetic_value",
-    "bound_window",
 ]
 
 
@@ -85,12 +83,3 @@ class CustomKinetic:
             )
         return self.window
 
-
-def kinetic_value(kinetic, p: float) -> float:
-    """T evaluated at momentum p (helper mirroring the method)."""
-    return kinetic.value(p)
-
-
-def bound_window(kinetic) -> tuple[float, float]:
-    """Open energy interval containing the bound states."""
-    return kinetic.bound_window()

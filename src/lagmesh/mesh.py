@@ -9,7 +9,14 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .specfun import laguerre_weighted, laguerre_weights, laguerre_zeros
 
-__all__ = ["LaguerreMesh", "build_mesh", "lagrange_function", "quadrature"]
+__all__ = [
+    "LaguerreMesh",
+    "build_mesh",
+    "lagrange_expansion",
+    "lagrange_function",
+    "quadrature",
+    "radial_form",
+]
 
 _NODE_WINDOW = 1e-10  # half-width of the removable-singularity window
 
@@ -64,6 +71,28 @@ def build_mesh(size: int, scale: float) -> LaguerreMesh:
     return LaguerreMesh(size=size, nodes=nodes, weights=weights, scale=scale)
 
 
+def lagrange_expansion(mesh: LaguerreMesh, coefficients, x) -> np.ndarray:
+    """sum_j c_j f_j(x) / x elementwise on x >= 0, with the shape of x.
+
+    Written as L_N(x) exp(-x/2) sum_j (-1)^j c_j x_j^{-1/2} (x - x_j)^{-1},
+    which is finite at the origin for any coefficients. Inside a 1e-10
+    window around x_j the removable singularity of f_j is replaced by its
+    limit weights[j]^{-1/2}.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    nodes = mesh.nodes
+    signs = np.where(np.arange(1, mesh.size + 1) % 2 == 0, 1.0, -1.0)
+    terms = flat[:, None] - nodes
+    near = np.abs(terms) < _NODE_WINDOW
+    terms[near] = np.inf
+    np.divide(coefficients * signs / np.sqrt(nodes), terms, out=terms)
+    out = laguerre_weighted(mesh.size, flat) * terms.sum(axis=1)
+    rows, cols = np.nonzero(near)
+    out[rows] += coefficients[cols] / flat[rows] / np.sqrt(mesh.weights[cols])
+    return out.reshape(x.shape)
+
+
 def lagrange_function(mesh: LaguerreMesh, i: int, x: float) -> float:
     """Regularized Lagrange function f_i(x), with i the 1-based node index.
 
@@ -76,17 +105,33 @@ def lagrange_function(mesh: LaguerreMesh, i: int, x: float) -> float:
         raise ValueError(f"node index must be in [1, {mesh.size}], got {i}")
     if x < 0.0:
         raise ValueError("Lagrange functions are defined on x >= 0")
-    x_i = mesh.nodes[i - 1]
-    if abs(x - x_i) < _NODE_WINDOW:
-        return 1.0 / math.sqrt(mesh.weights[i - 1])
-    sign = -1.0 if i % 2 else 1.0
-    return (
-        sign
-        / math.sqrt(x_i)
-        * x
-        / (x - x_i)
-        * laguerre_weighted(mesh.size, x)
+    # The coefficient x turns f_i(x) / x into f_i(x); in the node window the
+    # limit then comes out exactly, because x / x is 1.
+    coefficients = np.zeros(mesh.size)
+    coefficients[i - 1] = x
+    return float(lagrange_expansion(mesh, coefficients, x))
+
+
+def radial_form(mesh: LaguerreMesh, l: int) -> np.ndarray:
+    """Mesh matrix of -d^2/dx^2 + l(l+1)/x^2 between regularized Lagrange functions.
+
+    t_ij = (-1)^(i-j) (x_i x_j)^{-1/2} (x_i + x_j) (x_i - x_j)^{-2} off the
+    diagonal and (12 x_i^2)^{-1} [4 + (4N + 2) x_i - x_i^2] + l(l+1)/x_i^2
+    on it. This is the Gauss-quadrature approximation, which behaves better
+    than the exact matrix elements of the regularized basis. Divided by the
+    squared scale it is r^2 on a momentum mesh and q^2 on a radial mesh.
+    """
+    x = mesh.nodes
+    n = mesh.size
+    idx = np.arange(n)
+    signs = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    t = signs * (x[:, None] + x[None, :]) / (np.sqrt(x[:, None] * x[None, :]) * diff * diff)
+    np.fill_diagonal(
+        t, (4.0 + (4.0 * n + 2.0) * x - x * x) / (12.0 * x * x) + l * (l + 1) / (x * x)
     )
+    return t
 
 
 def quadrature(mesh: LaguerreMesh, g) -> float:

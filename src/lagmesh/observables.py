@@ -3,8 +3,11 @@
 Momentum-dependent operators are diagonal on the mesh, so their mean values
 collapse to sum_j C_j^2 U(h x_j). Radial operators go through the spectral
 calculus of the r^2 matrix: r^2 = -laplacian_p in momentum space, whose mesh
-representation P is diagonalized once per (mesh, l); K(r) is then applied as
-K(sqrt(.)) on the eigenvalues.
+representation P is the radial form of :mod:`lagmesh.mesh` divided by h^2,
+diagonalized once per (mesh, l); K(r) is then applied as K(sqrt(.)) on the
+eigenvalues. The momentum wavefunction is the Lagrange expansion of
+:mod:`lagmesh.mesh` rescaled to momentum units; the position wavefunction
+is the mesh Fourier-Bessel sum. Both take a scalar or an array.
 """
 
 import math
@@ -15,13 +18,12 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import eigh_refined
-from .mesh import LaguerreMesh
+from .mesh import LaguerreMesh, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
-from .specfun import laguerre_weighted, spherical_bessel_j
+from .specfun import spherical_bessel_j
 
 __all__ = [
     "RadialOperatorCalculus",
-    "second_derivative_matrix",
     "build_position_calculus",
     "wavefunction_momentum",
     "wavefunction_position",
@@ -30,27 +32,7 @@ __all__ = [
     "hamiltonian_consistency",
 ]
 
-_NODE_WINDOW = 1e-10
 _CLAMP = 1e-9  # tolerated quadrature leakage of the r^2 spectrum below zero
-
-
-def second_derivative_matrix(mesh: LaguerreMesh) -> np.ndarray:
-    """Mesh matrix of -d^2/dx^2 between regularized Lagrange functions.
-
-    t_ij = (-1)^(i-j) (x_i x_j)^{-1/2} (x_i + x_j) (x_i - x_j)^{-2} off the
-    diagonal and (12 x_i^2)^{-1} [4 + (4N + 2) x_i - x_i^2] on it. This is
-    the Gauss-quadrature approximation, which behaves better than the exact
-    matrix elements of the regularized basis.
-    """
-    x = mesh.nodes
-    n = mesh.size
-    idx = np.arange(n)
-    signs = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    t = signs * (x[:, None] + x[None, :]) / (np.sqrt(x[:, None] * x[None, :]) * diff * diff)
-    np.fill_diagonal(t, (4.0 + (4.0 * n + 2.0) * x - x * x) / (12.0 * x * x))
-    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,13 +44,12 @@ class RadialOperatorCalculus:
     window so that K(sqrt(.)) stays defined against quadrature leakage.
     """
 
-    second_derivative: np.ndarray
     r_squared: np.ndarray
     eigenvalues: np.ndarray
     transform: np.ndarray
 
     def __post_init__(self):
-        for field in (self.second_derivative, self.r_squared, self.eigenvalues, self.transform):
+        for field in (self.r_squared, self.eigenvalues, self.transform):
             field.setflags(write=False)
 
 
@@ -80,10 +61,7 @@ def build_position_calculus(mesh: LaguerreMesh, l: int) -> RadialOperatorCalculu
     spectrum must be nonnegative up to quadrature error. Factorizations are
     cached per (mesh, l) and shared read-only.
     """
-    t = second_derivative_matrix(mesh)
-    p = t / (mesh.scale * mesh.scale)
-    centrifugal = l * (l + 1) / (mesh.nodes * mesh.nodes * mesh.scale * mesh.scale)
-    p = p + np.diag(centrifugal)
+    p = radial_form(mesh, l) / (mesh.scale * mesh.scale)
     eigenvalues, transform = eigh_refined(p)
     if np.any(eigenvalues < -_CLAMP):
         raise NumericalError(
@@ -92,7 +70,6 @@ def build_position_calculus(mesh: LaguerreMesh, l: int) -> RadialOperatorCalculu
         )
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     return RadialOperatorCalculus(
-        second_derivative=t,
         r_squared=p,
         eigenvalues=eigenvalues,
         transform=transform,
@@ -103,31 +80,12 @@ def wavefunction_momentum(state: BoundState, p):
     """Radial momentum wavefunction of the state, defined for any p >= 0.
 
     Between mesh points this is the full expansion
-    sum_j C_j f_j(p/h) / (sqrt(h) p); at p = 0 the removable limit is used
-    (the expansion itself is finite there for every l).
+    sum_j C_j f_j(p/h) / (sqrt(h) p), evaluated for a scalar or an array of
+    momenta; it is finite at p = 0 for every l.
     """
-    m = state.mesh
-    h = m.scale
-    x = np.atleast_1d(np.asarray(p, dtype=float)) / h
-    scalar = np.ndim(p) == 0
-    nodes = m.nodes
-    signs = np.where(np.arange(1, m.size + 1) % 2 == 0, 1.0, -1.0)
-    coeff = state.coefficients * signs / np.sqrt(nodes)
-    out = np.empty_like(x)
-    damped = laguerre_weighted(m.size, x)
-    for k, xv in enumerate(x):
-        near = np.abs(xv - nodes) < _NODE_WINDOW
-        if np.any(near):
-            j = int(np.flatnonzero(near)[0])
-            denom = xv - nodes
-            denom[j] = 1.0
-            terms = coeff / denom * damped[k]
-            terms[j] = state.coefficients[j] / (math.sqrt(m.weights[j]) * nodes[j])
-            out[k] = terms.sum()
-        else:
-            out[k] = damped[k] * float(np.dot(coeff, 1.0 / (xv - nodes)))
-    out /= h**1.5
-    return float(out[0]) if scalar else out
+    h = state.mesh.scale
+    out = lagrange_expansion(state.mesh, state.coefficients, np.divide(p, h)) / h**1.5
+    return float(out) if np.ndim(p) == 0 else out
 
 
 def wavefunction_position(state: BoundState, r):
@@ -147,7 +105,7 @@ def wavefunction_position(state: BoundState, r):
         (-1.0 if state.l % 2 else 1.0)
         * math.sqrt(2.0 / math.pi)
         * h**1.5
-        * (bess @ weights)
+        * np.sum(bess * weights, axis=1)
     )
     return float(out[0]) if scalar else out
 

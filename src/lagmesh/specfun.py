@@ -1,9 +1,8 @@
 """Special functions for the Laguerre mesh and the analytic partial-wave kernels.
 
 Everything here is a pure real-valued function: Laguerre polynomials, their
-zeros and the associated Gauss quadrature weights, exponential integrals of
-non-positive integer order, Legendre functions of both kinds, and spherical
-Bessel functions.
+zeros and the associated Gauss quadrature weights, Legendre functions of
+both kinds, and spherical Bessel functions.
 """
 
 import math
@@ -13,35 +12,15 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "laguerre_value",
     "laguerre_weighted",
     "laguerre_zeros",
     "laguerre_weights",
-    "exp_integral_nonpos",
     "legendre_p",
     "legendre_q",
     "spherical_bessel_j",
 ]
 
 _RESCALE = 1e250  # magnitude at which the three-term recurrence is rescaled
-
-
-def laguerre_value(N: int, x: float) -> float:
-    """Evaluate the Laguerre polynomial L_N(x) by upward recurrence.
-
-    The plain recurrence overflows for very large N at x of the order of the
-    last zero; use :func:`laguerre_weighted` when the exp(-x/2)-damped value
-    is what is actually needed.
-    """
-    if N < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {N}")
-    p_prev = 1.0
-    if N == 0:
-        return p_prev
-    p = 1.0 - x
-    for k in range(1, N):
-        p_prev, p = p, ((2 * k + 1 - x) * p - k * p_prev) / (k + 1)
-    return p
 
 
 def laguerre_weighted(N: int, x):
@@ -171,26 +150,6 @@ def laguerre_weights(zeros) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"quadrature weights overflowed for N={N}")
     return w
-
-
-def exp_integral_nonpos(m: int, z: float) -> float:
-    """Exponential integral E_m(z) for integer order m <= 0 and real z != 0.
-
-    Uses the closed-form continuation
-        E_{-n}(z) = exp(-z) n! z^{-(n+1)} sum_{k=0}^{n} z^k / k!,
-    valid for negative arguments as well.
-    """
-    if m > 0:
-        raise ValueError(f"only non-positive orders are supported, got m={m}")
-    if z == 0.0:
-        raise ValueError("E_m has a pole at z = 0")
-    n = -m
-    term = 1.0
-    total = 1.0
-    for k in range(1, n + 1):
-        term *= z / k
-        total += term
-    return math.exp(-z) * math.factorial(n) * z ** (-(n + 1)) * total
 
 
 def legendre_p(l: int, t):

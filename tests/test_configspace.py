@@ -12,7 +12,7 @@ from lagmesh import (
     solve,
     solve_config,
 )
-from lagmesh.errors import ConfigurationError
+from lagmesh.errors import ConfigurationError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,11 @@ class TestGaussianBenchmark:
     def test_ground_state_energy(self, gauss_conf):
         _, state = gauss_conf
         assert state.energy == pytest.approx(-5.3775999070684, abs=1e-9)
+
+    def test_non_finite_radial_observable_rejected(self, gauss_conf):
+        _, state = gauss_conf
+        with pytest.raises(NumericalError, match="mesh node 1 "):
+            expval_radial_config(state, lambda r: float("nan"))
 
     def test_observables(self, gauss_conf):
         problem, state = gauss_conf

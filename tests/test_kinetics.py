@@ -9,8 +9,6 @@ from lagmesh.kinetics import (
     CustomKinetic,
     NonrelativisticKinetic,
     SalpeterKinetic,
-    bound_window,
-    kinetic_value,
 )
 
 
@@ -18,8 +16,6 @@ def test_nonrelativistic_value():
     kin = NonrelativisticKinetic(1.0, 1.0)  # mu = 1/2
     assert kin.mu == 0.5
     assert kin.value(2.0) == pytest.approx(4.0, rel=1e-15)
-    assert kinetic_value(kin, 2.0) == kin.value(2.0)
-    assert bound_window(kin) == kin.bound_window()
 
 
 def test_salpeter_rest_mass():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import DIMENSIONLESS, gauss15, salpeter_gauss
 from lagmesh import (
+    BoundState,
     ConfigProblem,
     CustomPotential,
     GaussianPotential,
@@ -15,27 +16,29 @@ from lagmesh import (
     expval_momentum,
     expval_radial,
     hamiltonian_consistency,
-    second_derivative_matrix,
+    lagrange_function,
+    reduced_wavefunction,
     solve,
     solve_config,
     wavefunction_momentum,
     wavefunction_position,
 )
+from lagmesh.mesh import radial_form
 
 
 class TestSecondDerivativeMatrix:
     def test_single_node(self):
         # (1/12)(4 + 6 x - x^2) / x^2 at x = 1
-        t = second_derivative_matrix(build_mesh(1, 1.0))
+        t = radial_form(build_mesh(1, 1.0), 0)
         assert t[0, 0] == pytest.approx(0.75, rel=1e-14)
 
     def test_two_node_off_diagonal(self):
         # x1 x2 = 2, x1 + x2 = 4, (x1 - x2)^2 = 8
-        t = second_derivative_matrix(build_mesh(2, 1.0))
+        t = radial_form(build_mesh(2, 1.0), 0)
         assert t[0, 1] == pytest.approx(-4.0 / (math.sqrt(2.0) * 8.0), rel=1e-14)
 
     def test_symmetry_exact(self):
-        t = second_derivative_matrix(build_mesh(50, 1.0))
+        t = radial_form(build_mesh(50, 1.0), 0)
         assert np.array_equal(t, t.T)
 
 
@@ -43,7 +46,7 @@ class TestPositionCalculus:
     def test_l0_is_scaled_second_derivative(self):
         mesh = build_mesh(10, 0.5)
         calc = build_position_calculus(mesh, 0)
-        assert calc.r_squared == pytest.approx(calc.second_derivative / 0.25, rel=1e-15)
+        assert calc.r_squared == pytest.approx(radial_form(mesh, 0) / 0.25, rel=1e-15)
 
     @pytest.mark.parametrize("size", [10, 20, 50])
     @pytest.mark.parametrize("l", [0, 1])
@@ -131,6 +134,42 @@ class TestHamiltonianConsistency:
         state = BoundState(float(energies[0]), vectors[:, 0].copy(), 0, 0, mesh)
         eps, mean = hamiltonian_consistency(state, problem)
         assert abs(eps - mean) < 1e-12
+
+
+class TestLagrangeExpansion:
+    """Every wavefunction evaluator against sum_j c_j f_j(x) term by term."""
+
+    @pytest.mark.parametrize("size", [5, 50, 400])
+    def test_callers_match_lagrange_functions(self, size):
+        # Each reference term costs an O(N) scalar call, so at most 24 random
+        # coefficients are nonzero; they include the three probed nodes.
+        rng = np.random.default_rng(size)
+        h = 0.7
+        mesh = build_mesh(size, h)
+        probed = [0, size // 2, size - 1]
+        support = np.union1d(probed, rng.choice(size, min(size, 24), replace=False))
+        coefficients = np.zeros(size)
+        coefficients[support] = rng.standard_normal(support.size)
+        state = BoundState(-1.0, coefficients, 0, 0, mesh)
+        nodes = mesh.nodes[probed]
+        x = np.concatenate(
+            ([0.0], nodes, nodes + 1e-12, nodes - 1e-12, nodes[-1] * np.array([1.01, 1.5]))
+        )
+        expected = np.array(
+            [sum(coefficients[j] * lagrange_function(mesh, j + 1, xv) for j in support)
+             for xv in x]
+        )
+        tol = 1e-12 * np.max(np.abs(expected))
+        momentum = x * h**1.5 * wavefunction_momentum(state, h * x)
+        reduced = np.sqrt(h) * reduced_wavefunction(state, h * x)
+        assert np.max(np.abs(momentum - expected)) <= tol
+        assert np.max(np.abs(reduced - expected)) <= tol
+
+    @pytest.mark.parametrize("evaluate", [wavefunction_momentum, wavefunction_position])
+    def test_array_call_equals_scalar_calls(self, gauss15_ground, evaluate):
+        grid = np.concatenate(([0.0], np.linspace(0.05, 12.0, 40)))
+        values = evaluate(gauss15_ground, grid)
+        assert values.tolist() == [evaluate(gauss15_ground, float(v)) for v in grid]
 
 
 class TestWavefunctions:

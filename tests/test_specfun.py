@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
-    exp_integral_nonpos,
-    laguerre_value,
     laguerre_weighted,
     laguerre_weights,
     laguerre_zeros,
@@ -18,21 +16,25 @@ from lagmesh.specfun import (
 )
 
 
+def _laguerre_oracle(N, x):
+    """L_N(x) exp(-x/2) from NumPy's Laguerre-series evaluation."""
+    return np.polynomial.laguerre.lagval(x, [0.0] * N + [1.0]) * np.exp(-np.asarray(x) / 2)
+
+
 class TestLaguerreValue:
     def test_degree_zero_is_one(self):
-        assert laguerre_value(0, 5.0) == 1.0
+        assert laguerre_weighted(0, 5.0) == pytest.approx(_laguerre_oracle(0, 5.0), rel=1e-15)
 
     def test_degree_one(self):
-        assert laguerre_value(1, 2.0) == -1.0
+        assert laguerre_weighted(1, 2.0) == pytest.approx(_laguerre_oracle(1, 2.0), rel=1e-15)
 
     def test_degree_two_explicit_polynomial(self):
-        # L_2(x) = 1 - 2x + x^2/2
-        assert laguerre_value(2, 2.0) == pytest.approx(1.0 - 4.0 + 2.0, abs=1e-15)
+        x = np.array([0.5, 2.0, 7.0])
+        assert laguerre_weighted(2, x) == pytest.approx(_laguerre_oracle(2, x), rel=1e-14)
 
     def test_weighted_matches_plain_at_moderate_arguments(self):
         x = np.linspace(0.1, 40.0, 57)
-        plain = np.array([laguerre_value(12, xi) * math.exp(-xi / 2) for xi in x])
-        assert laguerre_weighted(12, x) == pytest.approx(plain, rel=1e-12)
+        assert laguerre_weighted(12, x) == pytest.approx(_laguerre_oracle(12, x), rel=1e-12)
 
     def test_weighted_survives_large_mesh_arguments(self):
         # beyond the last zero of L_512 the damped value must stay finite
@@ -41,7 +43,7 @@ class TestLaguerreValue:
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            laguerre_value(-1, 1.0)
+            laguerre_weighted(-1, 1.0)
 
 
 class TestLaguerreZeros:
@@ -124,30 +126,6 @@ class TestLaguerreWeights:
         for m in range(2 * n):
             total = np.exp(log_w + m * log_x - zeros - math.lgamma(m + 1)).sum()
             assert total == pytest.approx(1.0, rel=1e-11), f"monomial degree {m}"
-
-
-class TestExpIntegral:
-    def test_order_zero(self):
-        assert exp_integral_nonpos(0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    def test_order_minus_one(self):
-        assert exp_integral_nonpos(-1, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
-
-    def test_negative_argument(self):
-        assert exp_integral_nonpos(0, -0.5) == pytest.approx(-2.0 * math.exp(0.5), rel=1e-14)
-
-    @given(st.floats(-10.0, 10.0).filter(lambda z: abs(z) > 1e-6))
-    def test_order_zero_identity(self, z):
-        # E_0(z) z e^z = 1 everywhere off the pole
-        assert exp_integral_nonpos(0, z) * z * math.exp(z) == pytest.approx(1.0, rel=1e-12)
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            exp_integral_nonpos(0, 0.0)
-
-    def test_positive_order_rejected(self):
-        with pytest.raises(ValueError):
-            exp_integral_nonpos(1, 1.0)
 
 
 class TestLegendreP:
