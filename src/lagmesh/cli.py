@@ -14,19 +14,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
-from .configspace import (
-    ConfigProblem,
-    expval_kinetic_config,
-    expval_radial_config,
-    solve_config,
-)
+from .configspace import ConfigProblem, solve_config
+from .configspace import mean_values as config_mean_values
 from .errors import ConfigurationError, NumericalError
 from .kinetics import NonrelativisticKinetic, SalpeterKinetic
 from .observables import (
-    build_position_calculus,
     expval_momentum,
-    expval_radial,
-    hamiltonian_consistency,
+    mean_values,
     wavefunction_momentum,
     wavefunction_position,
 )
@@ -47,9 +41,18 @@ _TABLE2_CONF_REFERENCE = {
     "hamiltonian_mean": "1.87098362",
 }
 
+# CSV row labels that name a mean value differently from ``mean_values``
+_MEAN_KEYS = {"q2_mean": "p2_mean", "q4_mean": "p4_mean", "x_mean": "r_mean"}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _cell(values: dict, label: str) -> str:
+    """The mean value behind a CSV row label; empty where the space has none."""
+    key = _MEAN_KEYS.get(label, label)
+    return _fmt(values[key]) if key in values else ""
 
 
 def parse_config_file(path: str) -> dict:
@@ -129,6 +132,8 @@ class RunConfig:
         self.wave_space = raw.get("wave.space", "momentum")
         self.wave_grid = _parse_grid(raw["wave.grid"], float) if "wave.grid" in raw else None
         self.wave_state = int(raw.get("wave.state", 0))
+        if self.wave_state < 0:
+            raise ConfigurationError(f"wave.state must be >= 0, got {self.wave_state}")
 
     def potential(self):
         if self.a is None:
@@ -203,32 +208,23 @@ def run_solve(cfg: RunConfig) -> None:
         print(f"wrote {cfg.out}")
 
 
-def _observable_rows(cfg: RunConfig, problem: ProblemSpec, state) -> list:
-    calculus = build_position_calculus(state.mesh, state.l)
-    potential = problem.potential
-    kinetic = problem.kinetic
-    rows = [
-        ("energy", state.energy),
-        ("kinetic_mean", expval_momentum(state, kinetic.value)),
-        ("p2_mean", expval_momentum(state, lambda p: p * p)),
-        ("p4_mean", expval_momentum(state, lambda p: p**4)),
-        ("r_mean", expval_radial(state, calculus, lambda r: r)),
-        ("potential_mean", expval_radial(state, calculus, potential.radial_value)),
-        ("hamiltonian_mean", hamiltonian_consistency(state, problem)[1]),
-    ]
-    return rows
+def _requested_state(states: list, cfg: RunConfig):
+    if cfg.wave_state >= len(states):
+        raise NumericalError(
+            f"wave.state = {cfg.wave_state}, but only {len(states)} bound state(s)"
+        )
+    return states[cfg.wave_state]
 
 
 def run_observables(cfg: RunConfig) -> None:
     problem, states = _solve_states(cfg)
     if not states:
         raise NumericalError("no bound state to take observables on")
-    state = states[min(cfg.wave_state, len(states) - 1)]
-    rows = _observable_rows(cfg, problem, state)
-    for name, value in rows:
+    values = mean_values(_requested_state(states, cfg), problem)
+    for name, value in values.items():
         print(f"  {name:>18} = {_fmt(value)}")
     if cfg.out:
-        write_csv(cfg.out, ["quantity", "value"], [[n, _fmt(v)] for n, v in rows])
+        write_csv(cfg.out, ["quantity", "value"], [[n, _fmt(v)] for n, v in values.items()])
         print(f"wrote {cfg.out}")
 
 
@@ -254,6 +250,7 @@ def run_scan_h(cfg: RunConfig) -> None:
     def at(h):
         return solve(cfg.problem(scale=h))
 
+    cfg.problem(scale=cfg.scan_h[0]).mesh()  # build the nodes once, before the pool
     rows = _scan(cfg, [[str(cfg.size), _fmt(h)] for h in cfg.scan_h], lambda pt: at(float(pt[1])))
     out = cfg.out or "scan_h.csv"
     write_csv(out, ["N", "h", "n", "l", "energy"], rows)
@@ -283,7 +280,7 @@ def run_wavefunction(cfg: RunConfig) -> None:
     problem, states = _solve_states(cfg)
     if not states:
         raise NumericalError("no bound state to export")
-    state = states[min(cfg.wave_state, len(states) - 1)]
+    state = _requested_state(states, cfg)
     print(f"state (n={state.n}, l={state.l})  energy = {_fmt(state.energy)}")
     if cfg.wave_space == "momentum":
         header = ["q", "u"]
@@ -305,36 +302,12 @@ def run_compare(cfg: RunConfig) -> None:
     _, config_states = solve_config(config_problem)
     if cfg.wave_state >= len(states) or cfg.wave_state >= len(config_states):
         raise NumericalError("requested state not bound in both spaces")
-    mom = states[cfg.wave_state]
-    conf = config_states[cfg.wave_state]
-    calculus = build_position_calculus(mom.mesh, mom.l)
-    potential = problem.potential
-    pairs = [
-        ("energy", mom.energy, conf.energy),
-        (
-            "x_mean",
-            expval_radial(mom, calculus, lambda r: r),
-            expval_radial_config(conf, lambda r: r),
-        ),
-        (
-            "potential_mean",
-            expval_radial(mom, calculus, potential.radial_value),
-            expval_radial_config(conf, potential.radial_value),
-        ),
-        (
-            "q2_mean",
-            expval_momentum(mom, lambda p: p * p),
-            expval_kinetic_config(conf, config_problem),
-        ),
-        (
-            "hamiltonian_mean",
-            hamiltonian_consistency(mom, problem)[1],
-            expval_kinetic_config(conf, config_problem)
-            + expval_radial_config(conf, potential.radial_value),
-        ),
-    ]
+    mom = mean_values(states[cfg.wave_state], problem)
+    conf = config_mean_values(config_states[cfg.wave_state], config_problem)
     rows = []
-    for name, a, b in pairs:
+    for name in ("energy", "x_mean", "potential_mean", "q2_mean", "hamiltonian_mean"):
+        key = _MEAN_KEYS.get(name, name)
+        a, b = mom[key], conf[key]
         delta = abs(a - b)
         rel = delta / max(abs(a), abs(b)) if max(abs(a), abs(b)) > 0 else 0.0
         print(f"  {name:>18}: mom={_fmt(a)} conf={_fmt(b)} |delta|={delta:.3e}")
@@ -348,37 +321,13 @@ def _table1() -> tuple[list, list]:
     potential = GaussianPotential(15.0, 1.0)
     kinetic = NonrelativisticKinetic(1.0, 1.0)
     config_problem = ConfigProblem(potential, 0, 0.5, 100, 0.4)
-    _, conf_states = solve_config(config_problem)
-    conf = conf_states[0]
-    conf_col = {
-        "energy": _fmt(conf.energy),
-        "q2_mean": _fmt(expval_kinetic_config(conf, config_problem)),
-        "q4_mean": "",  # not implemented in configuration space
-        "x_mean": _fmt(expval_radial_config(conf, lambda r: r)),
-        "potential_mean": _fmt(expval_radial_config(conf, potential.radial_value)),
-        "hamiltonian_mean": _fmt(
-            expval_kinetic_config(conf, config_problem)
-            + expval_radial_config(conf, potential.radial_value)
-        ),
-    }
-    columns = {}
+    columns = [config_mean_values(solve_config(config_problem)[1][0], config_problem)]
     for size in (10, 20, 50):
         problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
-        state = solve(problem)[0]
-        calculus = build_position_calculus(state.mesh, 0)
-        columns[size] = {
-            "energy": state.energy,
-            "q2_mean": expval_momentum(state, lambda p: p * p),
-            "q4_mean": expval_momentum(state, lambda p: p**4),
-            "x_mean": expval_radial(state, calculus, lambda r: r),
-            "potential_mean": expval_radial(state, calculus, potential.radial_value),
-            "hamiltonian_mean": hamiltonian_consistency(state, problem)[1],
-        }
+        columns.append(mean_values(solve(problem)[0], problem))
     header = ["quantity", "conf", "mom_N10", "mom_N20", "mom_N50"]
-    rows = [
-        [name, conf_col[name]] + [_fmt(columns[size][name]) for size in (10, 20, 50)]
-        for name in conf_col
-    ]
+    labels = ("energy", "q2_mean", "q4_mean", "x_mean", "potential_mean", "hamiltonian_mean")
+    rows = [[label] + [_cell(col, label) for col in columns] for label in labels]
     return header, rows
 
 
@@ -387,23 +336,17 @@ def _table2() -> tuple[list, list]:
     # there cell for cell, not at the nominal 0.4.
     potential = GaussianPotential(3.0, 1.0)
     kinetic = SalpeterKinetic(1.0, 1.0)
-    columns = {}
+    columns = []
     for size in (10, 20, 50):
         problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
         state = solve(problem)[0]
-        calculus = build_position_calculus(state.mesh, 0)
-        columns[size] = {
-            "energy": state.energy,
-            "sqrt_p2_m2_mean": expval_momentum(state, lambda p: math.sqrt(p * p + 1.0)),
-            "p4_mean": expval_momentum(state, lambda p: p**4),
-            "r_mean": expval_radial(state, calculus, lambda r: r),
-            "potential_mean": expval_radial(state, calculus, potential.radial_value),
-            "hamiltonian_mean": hamiltonian_consistency(state, problem)[1],
-        }
+        values = mean_values(state, problem)
+        values["sqrt_p2_m2_mean"] = expval_momentum(state, lambda p: math.sqrt(p * p + 1.0))
+        columns.append(values)
     header = ["quantity", "conf_reference", "mom_N10", "mom_N20", "mom_N50"]
     rows = [
-        [name, ref] + [_fmt(columns[size][name]) for size in (10, 20, 50)]
-        for name, ref in _TABLE2_CONF_REFERENCE.items()
+        [label, ref] + [_cell(col, label) for col in columns]
+        for label, ref in _TABLE2_CONF_REFERENCE.items()
     ]
     return header, rows
 
@@ -420,30 +363,12 @@ def _table3() -> tuple[list, list]:
     columns = []
     for n, l, h, h_r in settings:
         config_problem = ConfigProblem(potential, l, 0.5, 200, h_r)
-        _, conf_states = solve_config(config_problem)
-        conf = conf_states[n]
-        conf_q2 = expval_kinetic_config(conf, config_problem)
-        conf_u = expval_radial_config(conf, potential.radial_value)
+        columns.append(config_mean_values(solve_config(config_problem)[1][n], config_problem))
         problem = ProblemSpec(kinetic, potential, l, 200, h)
-        state = solve(problem)[n]
-        calculus = build_position_calculus(state.mesh, l)
-        mom_q2 = expval_momentum(state, lambda p: p * p)
-        mom_u = expval_radial(state, calculus, potential.radial_value)
+        columns.append(mean_values(solve(problem)[n], problem))
         header += [f"conf_{n}{l}", f"mom_{n}{l}"]
-        columns.append(
-            {
-                "energy": (conf.energy, state.energy),
-                "q2_mean": (conf_q2, mom_q2),
-                "potential_mean": (conf_u, mom_u),
-                "hamiltonian_mean": (conf_q2 + conf_u, hamiltonian_consistency(state, problem)[1]),
-            }
-        )
-    rows = []
-    for name in ("energy", "q2_mean", "potential_mean", "hamiltonian_mean"):
-        row = [name]
-        for col in columns:
-            row += [_fmt(col[name][0]), _fmt(col[name][1])]
-        rows.append(row)
+    labels = ("energy", "q2_mean", "potential_mean", "hamiltonian_mean")
+    rows = [[label] + [_cell(col, label) for col in columns] for label in labels]
     return header, rows
 
 

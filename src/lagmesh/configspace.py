@@ -29,6 +29,7 @@ __all__ = [
     "solve_config",
     "expval_radial_config",
     "expval_kinetic_config",
+    "mean_values",
     "reduced_wavefunction",
 ]
 
@@ -106,6 +107,24 @@ def expval_kinetic_config(state: BoundState, problem: ConfigProblem) -> float:
     m = state.mesh
     form = radial_form(m, problem.l) / (m.scale * m.scale)
     return float(state.coefficients @ form @ state.coefficients)
+
+
+def mean_values(state: BoundState, problem: ConfigProblem) -> dict:
+    """The state's mean values by name, in a fixed order.
+
+    ``energy``, ``p2_mean``, ``r_mean``, ``potential_mean`` and
+    ``hamiltonian_mean`` = <p^2> / (2 mu) + <V>.
+    """
+    values = {
+        "energy": state.energy,
+        "p2_mean": expval_kinetic_config(state, problem),
+        "r_mean": expval_radial_config(state, lambda r: r),
+        "potential_mean": expval_radial_config(state, problem.potential.radial_value),
+    }
+    values["hamiltonian_mean"] = (
+        values["p2_mean"] / (2.0 * problem.mu) + values["potential_mean"]
+    )
+    return values
 
 
 def reduced_wavefunction(state: BoundState, r):

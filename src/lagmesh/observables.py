@@ -30,6 +30,7 @@ __all__ = [
     "expval_momentum",
     "expval_radial",
     "hamiltonian_consistency",
+    "mean_values",
 ]
 
 _CLAMP = 1e-9  # tolerated quadrature leakage of the r^2 spectrum below zero
@@ -140,6 +141,26 @@ def expval_radial(state: BoundState, calculus: RadialOperatorCalculus, k) -> flo
     return float(np.dot(diag, projected * projected))
 
 
+def mean_values(state: BoundState, problem: ProblemSpec) -> dict:
+    """The state's mean values by name, in a fixed order.
+
+    ``energy``, ``kinetic_mean`` (<T>), ``p2_mean``, ``p4_mean``, ``r_mean``,
+    ``potential_mean`` (<V>) and ``hamiltonian_mean`` = <T> + <V>. Momentum
+    operators are diagonal sums; r and V go through one r^2 calculus.
+    """
+    calculus = build_position_calculus(state.mesh, state.l)
+    values = {
+        "energy": state.energy,
+        "kinetic_mean": expval_momentum(state, problem.kinetic.value),
+        "p2_mean": expval_momentum(state, lambda p: p * p),
+        "p4_mean": expval_momentum(state, lambda p: p**4),
+        "r_mean": expval_radial(state, calculus, lambda r: r),
+        "potential_mean": expval_radial(state, calculus, problem.potential.radial_value),
+    }
+    values["hamiltonian_mean"] = values["kinetic_mean"] + values["potential_mean"]
+    return values
+
+
 def hamiltonian_consistency(
     state: BoundState, problem: ProblemSpec
 ) -> tuple[float, float]:
@@ -148,7 +169,4 @@ def hamiltonian_consistency(
     The two numbers agree only in the converged limit because momentum and
     radial mean values go through different quadrature routes.
     """
-    calculus = build_position_calculus(state.mesh, state.l)
-    t_mean = expval_momentum(state, problem.kinetic.value)
-    v_mean = expval_radial(state, calculus, problem.potential.radial_value)
-    return state.energy, t_mean + v_mean
+    return state.energy, mean_values(state, problem)["hamiltonian_mean"]

@@ -52,8 +52,12 @@ def laguerre_weighted(N: int, x):
     return float(out[0]) if scalar else out
 
 
-def _laguerre_pair(N: int, x: float) -> tuple[float, float]:
-    """(L_N, L_{N-1}) at x, up to a common positive rescaling factor."""
+def _laguerre_pair(N: int, x):
+    """(L_N, L_{N-1}) at x, up to a common positive rescaling factor.
+
+    The recurrence runs in the precision of x: starting from the Python
+    float 1.0 keeps a longdouble x in longdouble throughout.
+    """
     p_prev = 1.0
     p = 1.0 - x
     for k in range(1, N):
@@ -64,26 +68,14 @@ def _laguerre_pair(N: int, x: float) -> tuple[float, float]:
     return p, p_prev
 
 
-def _newton_step(N: int, x: float) -> float:
-    """Newton correction for L_N at x; uses x L_N' = N (L_N - L_{N-1})."""
-    p, p_prev = _laguerre_pair(N, x)
-    return -p * x / (N * (p - p_prev))
+def _newton_step(N: int, x):
+    """Newton correction for L_N at x, in the precision of x.
 
-
-def _newton_step_extended(N: int, x) -> np.longdouble:
-    """Newton correction with the recurrence run in extended precision.
-
-    Double-precision evaluation leaves the roots wobbling over ~10 ulps; one
-    or two extended steps pin them to the last bit.
+    Uses x L_N' = N (L_N - L_{N-1}). Double-precision steps leave the roots
+    wobbling over ~10 ulps; one or two longdouble steps pin them to the
+    last bit.
     """
-    x = np.longdouble(x)
-    p_prev = np.longdouble(1.0)
-    p = np.longdouble(1.0) - x
-    for k in range(1, N):
-        p_prev, p = p, ((2 * k + 1 - x) * p - k * p_prev) / (k + 1)
-        if abs(p) > _RESCALE:
-            p /= _RESCALE
-            p_prev /= _RESCALE
+    p, p_prev = _laguerre_pair(N, x)
     return -p * x / (N * (p - p_prev))
 
 
@@ -117,12 +109,12 @@ def laguerre_zeros(N: int) -> np.ndarray:
             )
         z_ext = np.longdouble(z)
         for _ in range(4):
-            dz_ext = _newton_step_extended(N, z_ext)
+            dz_ext = _newton_step(N, z_ext)
             z_ext += dz_ext
             if abs(float(dz_ext)) <= 1e-17 * z:
                 break
         z = float(z_ext)
-        if abs(float(_newton_step_extended(N, z))) > 1e-13 * z:
+        if abs(float(_newton_step(N, np.longdouble(z)))) > 1e-13 * z:
             raise NumericalError(f"Laguerre root {i + 1}/{N} fails residual check")
         zeros[i] = z
     if np.any(np.diff(zeros) <= 0.0):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from lagmesh import cli
+from lagmesh import GaussianPotential, NonrelativisticKinetic, ProblemSpec, cli, solve
+from lagmesh.observables import mean_values
 
 
 def run_cli(args):
@@ -70,6 +71,41 @@ class TestSolveTask:
             ["--task", "observables", "--g", "0.1", "--potential", "gaussian", "--N", "20", "--h", "0.5"]
         )
         assert code == 2
+
+
+class TestObservablesTask:
+    def test_rows_are_mean_values_in_order(self, tmp_path):
+        out = tmp_path / "obs.csv"
+        args = ["--task", "observables", "--g", "15", "--potential", "gaussian", "--N", "20", "--h", "0.5"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert header == ["quantity", "value"]
+        problem = ProblemSpec(NonrelativisticKinetic(1.0, 1.0), GaussianPotential(15.0, 1.0), 0, 20, 0.5)
+        values = mean_values(solve(problem)[0], problem)
+        assert [row[0] for row in rows] == list(values)
+        assert [float(row[1]) for row in rows] == list(values.values())
+
+    @pytest.mark.parametrize("task", ["observables", "wavefunction"])
+    def test_negative_state_is_configuration_error(self, tmp_path, task):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 20\nmesh.h = 0.5\n"
+            f"run.task = {task}\nrun.out = {tmp_path / 'out.csv'}\n"
+            "wave.grid = 0.5,1.0\nwave.state = -1\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("task", ["observables", "wavefunction"])
+    def test_state_past_last_bound_is_numerical_failure(self, tmp_path, task):
+        # one bound state (n = 0) at N = 20, h = 0.5
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 20\nmesh.h = 0.5\n"
+            f"run.task = {task}\nrun.out = {tmp_path / 'out.csv'}\n"
+            "wave.grid = 0.5,1.0\nwave.state = 1\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestScanTasks:
@@ -197,6 +233,20 @@ class TestCompareTask:
         _, rows = read_rows(out)
         deltas = {row[0]: float(row[3]) for row in rows}
         assert deltas["energy"] <= 1e-8
+
+    def test_configuration_hamiltonian_divides_by_two_mu(self, tmp_path):
+        # m1 = m2 = 2, so mu = 1 and <T> = <q^2> / 2 in configuration space
+        cfg = tmp_path / "cmp.cfg"
+        out = tmp_path / "cmp.csv"
+        cfg.write_text(
+            "problem.potential = gaussian\nproblem.a = 15\nproblem.b = 1\n"
+            "problem.m1 = 2\nproblem.m2 = 2\nmesh.N = 50\nmesh.h = 0.5\n"
+            f"mesh.N_r = 100\nmesh.h_r = 0.4\nrun.task = compare\nrun.out = {out}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 0
+        _, rows = read_rows(out)
+        conf = {row[0]: float(row[2]) for row in rows}
+        assert abs(conf["hamiltonian_mean"] - conf["energy"]) <= 1e-9
 
     def test_salpeter_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"

@@ -24,6 +24,7 @@ from lagmesh import (
     wavefunction_position,
 )
 from lagmesh.mesh import radial_form
+from lagmesh.observables import mean_values
 
 
 class TestSecondDerivativeMatrix:
@@ -134,6 +135,19 @@ class TestHamiltonianConsistency:
         state = BoundState(float(energies[0]), vectors[:, 0].copy(), 0, 0, mesh)
         eps, mean = hamiltonian_consistency(state, problem)
         assert abs(eps - mean) < 1e-12
+
+
+class TestMeanValues:
+    @pytest.mark.parametrize("make_problem", [gauss15, salpeter_gauss])
+    def test_hamiltonian_consistency_reads_mean_values(self, make_problem):
+        problem = make_problem()
+        state = solve(problem)[0]
+        values = mean_values(state, problem)
+        assert hamiltonian_consistency(state, problem) == (
+            state.energy,
+            values["hamiltonian_mean"],
+        )
+        assert values["hamiltonian_mean"] == values["kinetic_mean"] + values["potential_mean"]
 
 
 class TestLagrangeExpansion:
