@@ -122,7 +122,7 @@ def solve_spectrum(hamiltonian: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarr
     energies = energies[order]
     vectors = vectors[:, order]
     residual = np.abs(hamiltonian.values @ vectors - vectors * energies).max()
-    norm = np.linalg.norm(hamiltonian.values, 2)
+    norm = np.abs(energies).max()  # ||H||_2 of a symmetric H, without an SVD
     if norm > 0.0 and residual > 1e-11 * norm:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds 1e-11 * ||H|| = {1e-11 * norm:.3e}"
