@@ -10,6 +10,7 @@ for identical configuration.
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -228,9 +229,17 @@ def run_observables(cfg: RunConfig) -> None:
         print(f"wrote {cfg.out}")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _scan(cfg: RunConfig, points, solve_point) -> list:
-    # embarrassingly parallel; map() keeps the deterministic grid order
-    with ThreadPoolExecutor() as pool:
+    # embarrassingly parallel; map() keeps the deterministic grid order. More
+    # threads than CPUs only overlap the solves' working sets.
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         results = list(pool.map(solve_point, points))
     rows = []
     for point, states in zip(points, results):

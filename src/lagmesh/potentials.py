@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .specfun import legendre_p, legendre_q
+from .specfun import _Q_MAX_DEGREE, legendre_p, legendre_q
 
 __all__ = [
     "PartialWaveKernel",
@@ -36,10 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartialWaveKernel:
-    """Symmetric kernel V_l(p, p') for one partial wave."""
+    """Symmetric kernel V_l(p, p') for one partial wave.
+
+    ``evaluate(p, q)`` takes arrays of momenta p and p' of one shape and
+    returns the kernel values as an array of that shape.
+    """
 
     l: int
-    evaluate: Callable[[float, float], float]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def vft_gaussian(k: float, a: float, b: float) -> float:
@@ -52,50 +56,69 @@ def vft_yukawa(k: float, a: float, b: float) -> float:
     return -a / (2.0 * math.pi**2 * (b * b + k * k))
 
 
-def _tail_series(n: int, z: float) -> float:
-    """sum_{j > n} z^j / j!, the Taylor remainder of exp after degree n."""
-    term = 1.0
+def _tail_series(n: int, z: np.ndarray) -> np.ndarray:
+    """sum_{j > n} z^j / j!, the Taylor remainder of exp after degree n,
+    elementwise; each element stops once its own term falls below 1e-18
+    of its sum."""
+    term = np.ones_like(z)
     for k in range(1, n + 1):
         term *= z / k
-    total = 0.0
+    total = np.zeros_like(z)
+    live = np.arange(z.size)
     j = n
-    while True:
+    while live.size:
         j += 1
-        term *= z / j
-        total += term
-        if abs(term) <= 1e-18 * abs(total) or j > n + 200:
-            return total
+        term[live] *= z[live] / j
+        total[live] += term[live]
+        if j > n + 200:
+            break
+        live = live[~(np.abs(term[live]) <= 1e-18 * np.abs(total[live]))]
+    return total
 
 
-def _partial_sum(n: int, z: float) -> float:
-    """sum_{j <= n} z^j / j!."""
-    term = 1.0
-    total = 1.0
+def _partial_sum(n: int, z: np.ndarray) -> np.ndarray:
+    """sum_{j <= n} z^j / j!, elementwise."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
     for k in range(1, n + 1):
         term *= z / k
         total += term
     return total
 
 
-def _gauss_bracket(n: int, y: float, s: float, parity: float) -> float:
-    """exp(-s) * [E_{-n}(-y) + (-1)^l E_{-n}(y)] without overflow or blow-up.
+def _gauss_bracket(n: int, y: np.ndarray, s: np.ndarray, parity: float) -> np.ndarray:
+    """exp(-s) * [E_{-n}(-y) + (-1)^l E_{-n}(y)] without overflow or blow-up,
+    elementwise on arrays y and s of one shape.
 
     Written via the Taylor remainder R_n of exp, the combination collapses to
         parity * n! y^{-(n+1)} [e^{y-s} R_n(-y) - e^{-y-s} R_n(y)],
     which cures the small-y cancellation between the two exponential
-    integrals; for large y the complementary partial-sum form is used, with
-    all exponents folded together (y <= s always, so none can overflow).
+    integrals (y < 5); for large y the complementary partial-sum form is
+    used, with all exponents folded together (y <= s always, so none can
+    overflow).
     """
-    if y < 5.0:
-        val = math.exp(y - s) * _tail_series(n, -y) - math.exp(-y - s) * _tail_series(n, y)
-    else:
-        val = math.exp(-y - s) * _partial_sum(n, y) - math.exp(y - s) * _partial_sum(n, -y)
+    val = np.empty_like(y)
+    small = y < 5.0
+    ys, ss = y[small], s[small]
+    val[small] = np.exp(ys - ss) * _tail_series(n, -ys) - np.exp(-ys - ss) * _tail_series(n, ys)
+    yl, sl = y[~small], s[~small]
+    val[~small] = np.exp(-yl - sl) * _partial_sum(n, yl) - np.exp(yl - sl) * _partial_sum(n, -yl)
     return parity * math.factorial(n) * y ** (-(n + 1)) * val
 
 
-def partial_wave_gaussian(l: int, p: float, q: float, a: float, b: float) -> float:
+def _momenta(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and p' as float arrays, which must share one shape."""
+    p_arr = np.asarray(p, dtype=float)
+    q_arr = np.asarray(q, dtype=float)
+    if p_arr.shape != q_arr.shape:
+        raise ValueError(f"p and p' differ in shape: {p_arr.shape} vs {q_arr.shape}")
+    return p_arr, q_arr
+
+
+def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     """Gaussian kernel V_l(p, p') as a finite combination of exponential
-    integrals E_{2k-l} at arguments +-(p p' / 2 b^2).
+    integrals E_{2k-l} at arguments +-(p p' / 2 b^2), scalar or elementwise
+    on arrays p, p' of one shape.
 
     The overall sign of the combination is pinned by requiring agreement with
     the direct angular quadrature of the Legendre projection; the analytic
@@ -103,28 +126,33 @@ def partial_wave_gaussian(l: int, p: float, q: float, a: float, b: float) -> flo
     Relative accuracy degrades for l >= 4 when p p'/2b^2 is tiny (cancellation
     between the k-terms); all tested partial waves (l <= 2) stay below 1e-10.
     """
-    y = p * q / (2.0 * b * b)
-    s = (p * p + q * q) / (4.0 * b * b)
+    p_arr, q_arr = _momenta(p, q)
+    y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
+    s = np.atleast_1d((p_arr * p_arr + q_arr * q_arr) / (4.0 * b * b))
     parity = -1.0 if l % 2 else 1.0
-    acc = 0.0
+    acc = np.zeros_like(y)
     for k in range(l // 2 + 1):
         coeff = math.comb(l, k) * math.comb(2 * l - 2 * k, l)
         if k % 2:
             coeff = -coeff
         acc += coeff * _gauss_bracket(l - 2 * k, y, s, parity)
-    return a / (2 ** (l + 2) * math.sqrt(math.pi) * b**3) * acc
+    out = a / (2 ** (l + 2) * math.sqrt(math.pi) * b**3) * acc
+    return float(out[0]) if p_arr.ndim == 0 else out
 
 
-def partial_wave_yukawa(l: int, p: float, q: float, a: float, b: float) -> float:
-    """Yukawa kernel V_l(p, p') = -(a / pi p p') Q_l((b^2 + p^2 + p'^2)/(2 p p'))."""
+def partial_wave_yukawa(l: int, p, q, a: float, b: float):
+    """Yukawa kernel V_l(p, p') = -(a / pi p p') Q_l((b^2 + p^2 + p'^2)/(2 p p')),
+    scalar or elementwise on arrays p, p' of one shape."""
     if b <= 0.0:
         raise ConfigurationError(
             "Yukawa screening mass must be positive; b = 0 puts the Q_l "
             "argument on its logarithmic singularity at p = p'"
         )
+    p_arr, q_arr = _momenta(p, q)
     # grouping keeps evaluate(p, q) == evaluate(q, p) bit for bit
-    arg = (b * b + (p * p + q * q)) / (2.0 * (p * q))
-    return -a / (math.pi * (p * q)) * legendre_q(l, arg)
+    arg = (b * b + (p_arr * p_arr + q_arr * q_arr)) / (2.0 * (p_arr * q_arr))
+    out = -a / (math.pi * (p_arr * q_arr)) * legendre_q(l, arg)
+    return float(out) if out.ndim == 0 else out
 
 
 # rounding floor of a Gauss-Legendre sum, relative to the same sum of |f|
@@ -219,6 +247,10 @@ class YukawaPotential:
         return -self.a * math.exp(-self.b * r) / r
 
     def kernel(self, l: int) -> PartialWaveKernel:
+        if l > _Q_MAX_DEGREE:
+            raise ConfigurationError(
+                f"the Yukawa kernel is implemented for l <= {_Q_MAX_DEGREE}, got l = {l}"
+            )
         a, b = self.a, self.b
         return PartialWaveKernel(l, lambda p, q: partial_wave_yukawa(l, p, q, a, b))
 
@@ -248,4 +280,11 @@ class CustomPotential:
 
     def kernel(self, l: int) -> PartialWaveKernel:
         fourier = self.fourier
-        return PartialWaveKernel(l, lambda p, q: partial_wave_numeric(l, p, q, fourier))
+
+        def evaluate(p, q):
+            p_arr, q_arr = _momenta(p, q)
+            pairs = zip(p_arr.ravel().tolist(), q_arr.ravel().tolist())
+            values = [partial_wave_numeric(l, pp, qq, fourier) for pp, qq in pairs]
+            return np.array(values, dtype=float).reshape(p_arr.shape)
+
+        return PartialWaveKernel(l, evaluate)

@@ -85,30 +85,59 @@ class BoundState:
 
 
 def assemble_hamiltonian(problem: ProblemSpec) -> HamiltonianMatrix:
-    """Build H for the given problem, one kernel call per unordered pair."""
+    """Build H for the given problem, one kernel call on the upper triangle.
+
+    A kernel that raises or returns a non-finite value is reported as a
+    ``NumericalError`` naming the first failing mesh pair in row order.
+    """
     m = problem.mesh()
     h = m.scale
     x = m.nodes
     sqrt_w = np.sqrt(m.weights)
     kernel = problem.potential.kernel(problem.l)
     n = m.size
-    values = np.empty((n, n))
     momenta = h * x
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                v = kernel.evaluate(momenta[i], momenta[j])
-            except Exception as exc:
-                raise NumericalError(
-                    f"potential kernel failed at mesh pair (i={i + 1}, j={j + 1}), "
-                    f"p={momenta[i]!r}, p'={momenta[j]!r}: {exc}"
-                ) from exc
-            entry = h**3 * sqrt_w[i] * sqrt_w[j] * x[i] * x[j] * v
-            values[i, j] = entry
-            values[j, i] = entry
-    for i in range(n):
-        values[i, i] += problem.kinetic.value(momenta[i])
+    i, j = np.triu_indices(n)
+    try:
+        v = kernel.evaluate(momenta[i], momenta[j])
+    except Exception as exc:
+        _raise_at_first_failure(kernel, momenta, i, j)
+        raise NumericalError(f"potential kernel failed on the mesh triangle: {exc}") from exc
+    entries = h**3 * sqrt_w[i] * sqrt_w[j] * x[i] * x[j] * v
+    bad = np.flatnonzero(~np.isfinite(entries))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(
+            f"non-finite Hamiltonian entry at {_site(momenta, i[k], j[k])}: "
+            f"kernel value {float(v[k])!r}"
+        )
+    values = np.empty((n, n))
+    values[i, j] = entries
+    values[j, i] = entries
+    for k in range(n):
+        values[k, k] += problem.kinetic.value(momenta[k])
     return HamiltonianMatrix(order=n, values=values)
+
+
+def _site(momenta: np.ndarray, i: int, j: int) -> str:
+    return f"mesh pair (i={i + 1}, j={j + 1}), p={float(momenta[i])!r}, p'={float(momenta[j])!r}"
+
+
+def _raise_at_first_failure(kernel, momenta: np.ndarray, rows, cols) -> None:
+    """After a failed batch call, evaluate pair by pair and report the first
+    pair whose kernel call raises or gives a non-finite value."""
+    for i, j in zip(rows, cols):
+        try:
+            v = kernel.evaluate(momenta[i : i + 1], momenta[j : j + 1])
+        except Exception as exc:
+            raise NumericalError(
+                f"potential kernel failed at {_site(momenta, i, j)}: {exc}"
+            ) from exc
+        if not np.all(np.isfinite(v)):
+            raise NumericalError(
+                f"non-finite Hamiltonian entry at {_site(momenta, i, j)}: "
+                f"kernel value {float(v[0])!r}"
+            )
 
 
 def solve_spectrum(hamiltonian: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -162,47 +162,66 @@ _Q_MAX_DEGREE = 8
 _Q_SERIES_CUTOFF = 1.2
 
 
-def legendre_q(l: int, x: float) -> float:
-    """Legendre function of the second kind Q_l(x) on x > 1, for l <= 8.
+def legendre_q(l: int, x):
+    """Legendre function of the second kind Q_l(x) on x > 1, for l <= 8,
+    scalar or elementwise on an array.
 
-    Near the logarithmic singularity the closed form
+    Near the logarithmic singularity (x < 1.2) the closed form
         Q_l = P_l(x) Q_0(x) - sum_{m=1}^{l} P_{m-1}(x) P_{l-m}(x) / m
-    is used; for x >= 1.2 it cancels badly and the inverse-power series
+    is used; further out it cancels badly and the inverse-power series
         Q_l(x) = sum_{j>=0} c_j x^{-(l+2j+1)}
-    takes over. Both branches hold 1e-10 relative accuracy up to l = 8;
+    takes over, each element stopping once its own terms fall below 1e-18
+    of its sum. Both branches hold 1e-10 relative accuracy up to l = 8;
     the closed form degrades rapidly beyond that, hence the degree cap.
     """
     if not 0 <= l <= _Q_MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {_Q_MAX_DEGREE}], got {l}")
-    if x <= 1.0:
-        raise ValueError(f"Q_l requires x > 1, got {x!r}")
-    if x < _Q_SERIES_CUTOFF:
-        q0 = 0.5 * math.log((x + 1.0) / (x - 1.0))
-        p_all = [1.0, x]
-        for k in range(1, l):
-            p_all.append(((2 * k + 1) * x * p_all[k] - k * p_all[k - 1]) / (k + 1))
-        w = sum(p_all[m - 1] * p_all[l - m] / m for m in range(1, l + 1))
-        return p_all[l] * q0 - w
+    x_arr = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(x_arr)
+    bad = xs[~(xs > 1.0)]
+    if bad.size:
+        raise ValueError(f"Q_l requires x > 1, got {float(bad[0])!r}")
+    out = np.empty_like(xs)
+    near = xs < _Q_SERIES_CUTOFF
+    out[near] = _legendre_q_closed(l, xs[near])
+    out[~near] = _legendre_q_series(l, xs[~near])
+    return float(out[0]) if x_arr.ndim == 0 else out
+
+
+def _legendre_q_closed(l: int, x: np.ndarray) -> np.ndarray:
+    q0 = 0.5 * np.log((x + 1.0) / (x - 1.0))
+    p_all = [np.ones_like(x), x]
+    for k in range(1, l):
+        p_all.append(((2 * k + 1) * x * p_all[k] - k * p_all[k - 1]) / (k + 1))
+    w = np.zeros_like(x)
+    for m in range(1, l + 1):
+        w += p_all[m - 1] * p_all[l - m] / m
+    return p_all[l] * q0 - w
+
+
+def _legendre_q_series(l: int, x: np.ndarray) -> np.ndarray:
     # c_0 = 2^l (l!)^2 / (2l+1)!, then a term-ratio recurrence in u = x^-2.
     c = math.exp(
         l * math.log(2.0) + 2.0 * math.lgamma(l + 1) - math.lgamma(2 * l + 2)
     )
     u = 1.0 / (x * x)
-    term = c
-    total = c
+    term = np.full_like(x, c)
+    total = term.copy()
+    live = np.arange(x.size)
     j = 0
-    while True:
+    while live.size:
         ratio = (
             (l + 2 * j + 2)
             * (l + 2 * j + 1)
             * (l + j + 1)
             / ((j + 1) * (2 * l + 2 * j + 3) * (2 * l + 2 * j + 2))
         )
-        term *= ratio * u
-        total += term
+        term[live] *= ratio * u[live]
+        total[live] += term[live]
         j += 1
-        if term < 1e-18 * total or j > 400:
+        if j > 400:
             break
+        live = live[~(term[live] < 1e-18 * total[live])]
     return total * x ** (-(l + 1))
 
 

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from lagmesh import GaussianPotential, NonrelativisticKinetic, ProblemSpec, cli, solve
+from lagmesh import GaussianPotential, NonrelativisticKinetic, ProblemSpec, YukawaPotential, cli, solve
+from lagmesh import solver as solver_module
 from lagmesh.observables import mean_values
 
 
@@ -66,6 +67,13 @@ class TestSolveTask:
     def test_missing_strength_is_configuration_error(self):
         assert run_cli(["--task", "solve", "--potential", "gaussian", "--N", "10", "--h", "0.5"]) == 1
 
+    def test_yukawa_beyond_degree_cap_is_configuration_error(self, capsys):
+        code = run_cli(
+            ["--task", "solve", "--g", "10", "--potential", "yukawa", "--l", "9", "--N", "10", "--h", "0.8"]
+        )
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_no_bound_state_observables_is_numerical_failure(self):
         code = run_cli(
             ["--task", "observables", "--g", "0.1", "--potential", "gaussian", "--N", "20", "--h", "0.5"]
@@ -124,6 +132,25 @@ class TestScanTasks:
         assert all(math.isfinite(float(row[4])) for row in rows)
         hs = [row[1] for row in rows if row[2] == "0"]
         assert hs == ["0.40000000000000002", "0.59999999999999998", "0.80000000000000004", "1"]
+
+    def test_scan_h_pool_matches_serial_solves(self, tmp_path):
+        # the scan runs on a thread pool; its rows must be the serial solves'
+        # energies, bit for bit, in grid order
+        cfg = tmp_path / "scan.cfg"
+        out = tmp_path / "scan.csv"
+        grid = [0.5, 0.7, 0.9, 1.1, 1.3]
+        cfg.write_text(
+            "problem.g = 10.0\nproblem.potential = yukawa\nmesh.N = 40\nrun.task = scan-h\n"
+            f"run.out = {out}\nscan.h = {','.join(map(str, grid))}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 0
+        _, rows = read_rows(out)
+        solver_module._solve_cached.cache_clear()
+        expected = []
+        for h in grid:
+            problem = ProblemSpec(NonrelativisticKinetic(1.0, 1.0), YukawaPotential(10.0, 1.0), 0, 40, h)
+            expected += [(h, st.n, st.energy) for st in solve(problem)]
+        assert [(float(r[1]), int(r[2]), float(r[4])) for r in rows] == expected
 
     def test_scan_n_ordering_and_completeness(self, tmp_path):
         cfg = tmp_path / "scan.cfg"

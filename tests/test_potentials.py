@@ -68,6 +68,16 @@ class TestGaussianKernel:
         num = partial_wave_numeric(1, 1.0, 1.0, lambda k: vft_gaussian(k, 1.0, 1.0))
         assert partial_wave_gaussian(1, 1.0, 1.0, 1.0, 1.0) == pytest.approx(num, rel=1e-10)
 
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_array_call_equals_scalar_calls(self, l):
+        # y = p p'/2b^2 on both sides of the branch point y = 5, interleaved
+        p = np.array([0.01, 3.0, 0.5, 3.2, 1.0, 10.0, 3.1, 0.2])
+        q = np.array([0.3, 3.4, 2.0, 3.2, 1.5, 7.0, 3.2258, 0.05])
+        values = partial_wave_gaussian(l, p, q, 15.0, 1.0)
+        assert values.tolist() == [
+            partial_wave_gaussian(l, float(a), float(b), 15.0, 1.0) for a, b in zip(p, q)
+        ]
+
     def test_no_overflow_at_large_momenta(self):
         assert math.isfinite(partial_wave_gaussian(0, 600.0, 600.0, 1.0, 1.0))
         assert math.isfinite(partial_wave_gaussian(1, 700.0, 0.01, 1.0, 1.0))
@@ -157,6 +167,18 @@ class TestPotentialSpecs:
         custom = CustomPotential(fourier=lambda k: 0.0)
         with pytest.raises(ConfigurationError):
             custom.radial_value(1.0)
+
+    def test_yukawa_degree_cap_is_a_configuration_error(self):
+        assert YukawaPotential(10.0, 1.0).kernel(8).l == 8
+        with pytest.raises(ConfigurationError, match="l <= 8"):
+            YukawaPotential(10.0, 1.0).kernel(9)
+
+    def test_custom_kernel_keeps_the_array_shape(self):
+        kernel = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0)).kernel(0)
+        p = np.array([[0.5, 1.0], [2.0, 1.0]])
+        values = kernel.evaluate(p, p.T)
+        assert values.shape == (2, 2)
+        assert values[0, 1] == values[1, 0]
 
     def test_kernel_symmetry_attribute(self):
         kernel = YukawaPotential(10.0, 1.0).kernel(1)

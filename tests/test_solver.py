@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lagmesh import (
     yukawa_coupling,
 )
 from lagmesh.mesh import build_mesh
-from lagmesh.potentials import partial_wave_gaussian
+from lagmesh.potentials import PartialWaveKernel, partial_wave_gaussian
 
 
 class TestAssembly:
@@ -40,9 +41,12 @@ class TestAssembly:
         assert h.values[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_symmetry_exact(self):
-        problem = ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), 0, 20, 0.8)
-        h = assemble_hamiltonian(problem).values
-        assert np.array_equal(h, h.T)
+        cases = [(YukawaPotential(10.0, 1.0), 0, 0.8)]
+        cases += [(GaussianPotential(15.0, 1.0), l, 0.5) for l in (0, 1, 2)]
+        for potential, l, scale in cases:
+            problem = ProblemSpec(DIMENSIONLESS, potential, l, 20, scale)
+            h = assemble_hamiltonian(problem).values
+            assert np.array_equal(h, h.T), f"{potential} l={l}"
 
     def test_kernel_failure_reports_the_site(self):
         from lagmesh.errors import NumericalError
@@ -51,7 +55,49 @@ class TestAssembly:
             raise ValueError("synthetic kernel breakdown")
 
         problem = ProblemSpec(DIMENSIONLESS, CustomPotential(fourier=broken), 0, 3, 1.0)
-        with pytest.raises(NumericalError, match=r"\(i=1, j=1\)"):
+        with pytest.raises(NumericalError, match=r"\(i=1, j=1\)") as info:
+            assemble_hamiltonian(problem)
+        message = str(info.value)
+        site = re.search(r"p=([^,]+), p'=([^:]+):", message)
+        assert site, message
+        assert float(site.group(1)) > 0.0 and float(site.group(2)) > 0.0
+        assert "np.float64" not in message
+
+    def test_non_finite_kernel_value_names_the_pair(self):
+        from lagmesh.errors import NumericalError
+
+        mesh = build_mesh(5, 0.7)
+        p_bad, q_bad = mesh.scale * mesh.nodes[1], mesh.scale * mesh.nodes[3]
+
+        class NanAtOnePair:
+            def kernel(self, l):
+                def evaluate(p, q):
+                    hit = (p == p_bad) & (q == q_bad)
+                    return np.where(hit, np.nan, -1.0)
+
+                return PartialWaveKernel(l, evaluate)
+
+        problem = ProblemSpec(DIMENSIONLESS, NanAtOnePair(), 0, 5, 0.7)
+        with pytest.raises(NumericalError, match=r"\(i=2, j=4\)"):
+            assemble_hamiltonian(problem)
+
+    def test_failure_inside_a_batch_names_the_first_failing_pair(self):
+        from lagmesh.errors import NumericalError
+
+        mesh = build_mesh(5, 0.7)
+        p_bad = mesh.scale * mesh.nodes[2]
+
+        def breaks_on_the_third_row(p, q):
+            if np.any(p == p_bad):
+                raise ValueError("synthetic breakdown")
+            return np.full(np.shape(p), -1.0)
+
+        class Stub:
+            def kernel(self, l):
+                return PartialWaveKernel(l, breaks_on_the_third_row)
+
+        problem = ProblemSpec(DIMENSIONLESS, Stub(), 0, 5, 0.7)
+        with pytest.raises(NumericalError, match=r"\(i=3, j=3\).*synthetic breakdown"):
             assemble_hamiltonian(problem)
 
 

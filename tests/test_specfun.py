@@ -154,6 +154,17 @@ class TestLegendreQ:
         mine = legendre_q(l, x)
         assert abs(mine - direct) <= 1e-9 * max(1.0, abs(direct))
 
+    @pytest.mark.parametrize("l", range(9))
+    def test_array_call_equals_scalar_calls(self, l):
+        # both branches (x < 1.2 closed form, x >= 1.2 series), interleaved so
+        # that neighbouring elements stop their series at different terms
+        x = np.array([1.0001, 50.0, 1.19, 1.2, 3.0, 1.05, 1e4, 1.1999999, 1.7])
+        values = legendre_q(l, x)
+        assert values.tolist() == [legendre_q(l, float(v)) for v in x]
+        assert legendre_q(l, x.reshape(3, 3)).tolist() == values.reshape(3, 3).tolist()
+        with pytest.raises(ValueError):
+            legendre_q(l, np.append(x, 1.0))
+
     def test_domain_and_degree_errors(self):
         with pytest.raises(ValueError):
             legendre_q(0, 1.0)
