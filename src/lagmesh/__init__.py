@@ -16,13 +16,12 @@ from .configspace import (
 )
 from .errors import ConfigurationError, NumericalError
 from .kinetics import CustomKinetic, NonrelativisticKinetic, SalpeterKinetic
-from .mesh import LaguerreMesh, build_mesh, lagrange_function, quadrature
+from .mesh import LaguerreMesh, build_mesh, lagrange_function
 from .observables import (
     RadialOperatorCalculus,
     build_position_calculus,
     expval_momentum,
     expval_radial,
-    hamiltonian_consistency,
     wavefunction_momentum,
     wavefunction_position,
 )
@@ -34,16 +33,11 @@ from .potentials import (
 )
 from .solver import (
     BoundState,
-    HamiltonianMatrix,
     ProblemSpec,
     assemble_hamiltonian,
-    gaussian_coupling,
-    scale_energy,
     select_bound_states,
     solve,
-    solve_full,
     solve_spectrum,
-    yukawa_coupling,
 )
 
 __version__ = "0.1.0"
@@ -55,7 +49,6 @@ __all__ = [
     "CustomKinetic",
     "CustomPotential",
     "GaussianPotential",
-    "HamiltonianMatrix",
     "LaguerreMesh",
     "NonrelativisticKinetic",
     "NumericalError",
@@ -71,18 +64,12 @@ __all__ = [
     "expval_momentum",
     "expval_radial",
     "expval_radial_config",
-    "gaussian_coupling",
-    "hamiltonian_consistency",
     "lagrange_function",
-    "quadrature",
     "reduced_wavefunction",
-    "scale_energy",
     "select_bound_states",
     "solve",
     "solve_config",
-    "solve_full",
     "solve_spectrum",
     "wavefunction_momentum",
     "wavefunction_position",
-    "yukawa_coupling",
 ]

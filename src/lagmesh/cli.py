@@ -132,6 +132,11 @@ class RunConfig:
         self.scan_n = _parse_grid(raw["scan.N"], int) if "scan.N" in raw else None
         self.wave_space = raw.get("wave.space", "momentum")
         self.wave_grid = _parse_grid(raw["wave.grid"], float) if "wave.grid" in raw else None
+        # the grid increases strictly, so its first point is the smallest
+        if self.wave_grid is not None and self.wave_grid[0] < 0.0:
+            raise ConfigurationError(
+                f"wave.grid points must be >= 0, got {self.wave_grid[0]!r}"
+            )
         self.wave_state = int(raw.get("wave.state", 0))
         if self.wave_state < 0:
             raise ConfigurationError(f"wave.state must be >= 0, got {self.wave_state}")
@@ -173,8 +178,7 @@ class RunConfig:
             raise ConfigurationError("mesh.h_r is required to solve in configuration space")
         if size is None:
             size = self.size_r if self.size_r is not None else self.size
-        mu = self.m1 * self.m2 / (self.m1 + self.m2)
-        return ConfigProblem(self.potential(), self.l, mu, size, self.scale_r)
+        return ConfigProblem(self.potential(), self.l, self.kinetic().mu, size, self.scale_r)
 
 
 def write_csv(path: str, header: list, rows: list) -> None:
@@ -308,7 +312,7 @@ def run_compare(cfg: RunConfig) -> None:
     config_problem = cfg.config_problem()
     if not states:
         raise NumericalError("no momentum-space bound state to compare")
-    _, config_states = solve_config(config_problem)
+    config_states = solve_config(config_problem)
     if cfg.wave_state >= len(states) or cfg.wave_state >= len(config_states):
         raise NumericalError("requested state not bound in both spaces")
     mom = mean_values(states[cfg.wave_state], problem)
@@ -330,7 +334,7 @@ def _table1() -> tuple[list, list]:
     potential = GaussianPotential(15.0, 1.0)
     kinetic = NonrelativisticKinetic(1.0, 1.0)
     config_problem = ConfigProblem(potential, 0, 0.5, 100, 0.4)
-    columns = [config_mean_values(solve_config(config_problem)[1][0], config_problem)]
+    columns = [config_mean_values(solve_config(config_problem)[0], config_problem)]
     for size in (10, 20, 50):
         problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
         columns.append(mean_values(solve(problem)[0], problem))
@@ -372,7 +376,7 @@ def _table3() -> tuple[list, list]:
     columns = []
     for n, l, h, h_r in settings:
         config_problem = ConfigProblem(potential, l, 0.5, 200, h_r)
-        columns.append(config_mean_values(solve_config(config_problem)[1][n], config_problem))
+        columns.append(config_mean_values(solve_config(config_problem)[n], config_problem))
         problem = ProblemSpec(kinetic, potential, l, 200, h)
         columns.append(mean_values(solve(problem)[n], problem))
         header += [f"conf_{n}{l}", f"mom_{n}{l}"]

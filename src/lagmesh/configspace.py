@@ -17,11 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .mesh import LaguerreMesh, build_mesh, lagrange_expansion, radial_form
-from .linalg import eigh_refined
-from .solver import BoundState, select_bound_states
-from .kinetics import NonrelativisticKinetic
+from .errors import ConfigurationError
+from .mesh import LaguerreMesh, _node_values, build_mesh, lagrange_expansion, radial_form
+from .solver import BoundState, select_bound_states, solve_spectrum
 
 __all__ = [
     "ConfigProblem",
@@ -61,44 +59,29 @@ class ConfigProblem:
 def assemble_config_hamiltonian(problem: ConfigProblem) -> np.ndarray:
     m = problem.mesh()
     values = radial_form(m, problem.l) / (m.scale * m.scale) / (2.0 * problem.mu)
-    radial = np.array(
-        [problem.potential.radial_value(m.scale * x) for x in m.nodes], dtype=float
-    )
-    if not np.all(np.isfinite(radial)):
-        bad = int(np.flatnonzero(~np.isfinite(radial))[0])
-        raise NumericalError(
-            f"potential not finite at mesh node {bad + 1} "
-            f"(r={m.scale * m.nodes[bad]!r})"
-        )
-    return values + np.diag(radial)
+    return values + np.diag(_node_values(m, problem.potential.radial_value, "potential"))
 
 
 @lru_cache(maxsize=64)
 def _solve_config_cached(problem: ConfigProblem):
-    energies, vectors = eigh_refined(assemble_config_hamiltonian(problem))
+    energies, vectors = solve_spectrum(assemble_config_hamiltonian(problem))
     energies.setflags(write=False)
     vectors.setflags(write=False)
     return energies, vectors
 
 
-def solve_config(problem: ConfigProblem) -> tuple[np.ndarray, list[BoundState]]:
-    """Full spectrum plus the labeled bound states (energy below zero)."""
+def solve_config(problem: ConfigProblem) -> list[BoundState]:
+    """The labeled bound states (energy below zero), in ascending energy.
+
+    Full spectra are cached per ConfigProblem.
+    """
     energies, vectors = _solve_config_cached(problem)
-    kinetic = NonrelativisticKinetic(2.0 * problem.mu, 2.0 * problem.mu)
-    states = select_bound_states(energies, vectors, kinetic, problem.mesh(), problem.l)
-    return energies, states
+    return select_bound_states(energies, vectors, (-math.inf, 0.0), problem.mesh(), problem.l)
 
 
 def expval_radial_config(state: BoundState, k) -> float:
     """Radial mean value, diagonal in configuration space: sum C_j^2 K(h x_j)."""
-    m = state.mesh
-    values = np.array([k(m.scale * x) for x in m.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NumericalError(
-            f"radial observable not finite at mesh node {bad + 1} "
-            f"(r={m.scale * m.nodes[bad]!r})"
-        )
+    values = _node_values(state.mesh, k, "radial observable")
     return float(np.dot(state.coefficients**2, values))
 
 

@@ -14,7 +14,6 @@ __all__ = [
     "build_mesh",
     "lagrange_expansion",
     "lagrange_function",
-    "quadrature",
     "radial_form",
 ]
 
@@ -134,15 +133,18 @@ def radial_form(mesh: LaguerreMesh, l: int) -> np.ndarray:
     return t
 
 
-def quadrature(mesh: LaguerreMesh, g) -> float:
-    """Gauss quadrature sum_k weights[k] g(nodes[k]).
+def _node_values(mesh: LaguerreMesh, f, what: str) -> np.ndarray:
+    """f(scale * x_j) at every node, refusing a non-finite value.
 
-    Exact whenever g is a polynomial of degree <= 2N-1 times exp(-x).
+    The NumericalError names ``what``, the first failing mesh node (1-based)
+    and its scaled point.
     """
-    values = np.array([g(x) for x in mesh.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+    points = mesh.scale * mesh.nodes
+    values = np.array([f(point) for point in points], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
         raise NumericalError(
-            f"integrand not finite at mesh node {bad + 1} (x={mesh.nodes[bad]!r})"
+            f"{what} not finite at mesh node {k + 1} (scale * x = {float(points[k])!r})"
         )
-    return float(np.dot(mesh.weights, values))
+    return values

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import eigh_refined
-from .mesh import LaguerreMesh, lagrange_expansion, radial_form
+from .mesh import LaguerreMesh, _node_values, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
 from .specfun import spherical_bessel_j
 
@@ -29,7 +29,6 @@ __all__ = [
     "wavefunction_position",
     "expval_momentum",
     "expval_radial",
-    "hamiltonian_consistency",
     "mean_values",
 ]
 
@@ -40,17 +39,17 @@ _CLAMP = 1e-9  # tolerated quadrature leakage of the r^2 spectrum below zero
 class RadialOperatorCalculus:
     """Spectral factorization of the r^2 representation on a momentum mesh.
 
-    ``r_squared = transform @ diag(eigenvalues) @ transform.T`` with an
-    orthogonal transform; eigenvalues are clamped to zero inside a 1e-9
-    window so that K(sqrt(.)) stays defined against quadrature leakage.
+    ``radial_form(mesh, l) / h^2 = transform @ diag(eigenvalues) @
+    transform.T`` with an orthogonal transform; eigenvalues are clamped to
+    zero inside a 1e-9 window so that K(sqrt(.)) stays defined against
+    quadrature leakage.
     """
 
-    r_squared: np.ndarray
     eigenvalues: np.ndarray
     transform: np.ndarray
 
     def __post_init__(self):
-        for field in (self.r_squared, self.eigenvalues, self.transform):
+        for field in (self.eigenvalues, self.transform):
             field.setflags(write=False)
 
 
@@ -70,11 +69,7 @@ def build_position_calculus(mesh: LaguerreMesh, l: int) -> RadialOperatorCalculu
             f"quadrature-consistency bound (N={mesh.size}, l={l})"
         )
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
-    return RadialOperatorCalculus(
-        r_squared=p,
-        eigenvalues=eigenvalues,
-        transform=transform,
-    )
+    return RadialOperatorCalculus(eigenvalues=eigenvalues, transform=transform)
 
 
 def wavefunction_momentum(state: BoundState, p):
@@ -113,14 +108,7 @@ def wavefunction_position(state: BoundState, r):
 
 def expval_momentum(state: BoundState, u) -> float:
     """Mean value of a momentum-dependent operator: sum_j C_j^2 U(h x_j)."""
-    m = state.mesh
-    values = np.array([u(m.scale * xj) for xj in m.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NumericalError(
-            f"momentum observable not finite at node {bad + 1} "
-            f"(p={m.scale * m.nodes[bad]!r})"
-        )
+    values = _node_values(state.mesh, u, "momentum observable")
     return float(np.dot(state.coefficients**2, values))
 
 
@@ -159,14 +147,3 @@ def mean_values(state: BoundState, problem: ProblemSpec) -> dict:
     }
     values["hamiltonian_mean"] = values["kinetic_mean"] + values["potential_mean"]
     return values
-
-
-def hamiltonian_consistency(
-    state: BoundState, problem: ProblemSpec
-) -> tuple[float, float]:
-    """(eigenvalue, <T> + <V>) for the state; their gap tracks convergence.
-
-    The two numbers agree only in the converged limit because momentum and
-    radial mean values go through different quadrature routes.
-    """
-    return state.energy, mean_values(state, problem)["hamiltonian_mean"]

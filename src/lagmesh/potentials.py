@@ -123,8 +123,12 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     The overall sign of the combination is pinned by requiring agreement with
     the direct angular quadrature of the Legendre projection; the analytic
     continuation of E_m to negative arguments leaves it ambiguous otherwise.
-    Relative accuracy degrades for l >= 4 when p p'/2b^2 is tiny (cancellation
-    between the k-terms); all tested partial waves (l <= 2) stay below 1e-10.
+    Relative accuracy degrades when p p'/2b^2 is tiny (cancellation between
+    the k-terms), most for l >= 4. For l <= 2 the largest error measured
+    against a 40-digit quadrature of the Legendre projection is 3.1e-10
+    relative on the scalar path and 5.1e-10 on the array path (a=15, b=1,
+    l=2, N=200, h=0.5, mesh pair (1, 10)); it occurs on small-pp' entries
+    near 1e-25 of max|H| and moves no eigenvalue.
     """
     p_arr, q_arr = _momenta(p, q)
     y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
@@ -218,9 +222,6 @@ class GaussianPotential:
         if not (self.a > 0.0 and self.b > 0.0):
             raise ConfigurationError("Gaussian potential requires a > 0 and b > 0")
 
-    def fourier_value(self, k: float) -> float:
-        return vft_gaussian(k, self.a, self.b)
-
     def radial_value(self, r: float) -> float:
         return -self.a * math.exp(-((self.b * r) ** 2))
 
@@ -239,9 +240,6 @@ class YukawaPotential:
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
             raise ConfigurationError("Yukawa potential requires a > 0 and b > 0")
-
-    def fourier_value(self, k: float) -> float:
-        return vft_yukawa(k, self.a, self.b)
 
     def radial_value(self, r: float) -> float:
         return -self.a * math.exp(-self.b * r) / r
@@ -266,9 +264,6 @@ class CustomPotential:
 
     fourier: Callable[[float], float]
     radial: Optional[Callable[[float], float]] = None
-
-    def fourier_value(self, k: float) -> float:
-        return self.fourier(k)
 
     def radial_value(self, r: float) -> float:
         if self.radial is None:

@@ -7,7 +7,9 @@ eigenproblem
 
 with h the momentum scale, x_i the mesh nodes and l_i the quadrature
 weights. Bound states are the eigenpairs whose energy falls inside the
-kinetic operator's bound-state window.
+kinetic operator's bound-state window. ``solve_spectrum`` and
+``select_bound_states`` take any mesh matrix and window, so the
+configuration-space solver turns its matrix into bound states the same way.
 """
 
 from dataclasses import dataclass
@@ -21,16 +23,11 @@ from .mesh import LaguerreMesh, build_mesh
 
 __all__ = [
     "ProblemSpec",
-    "HamiltonianMatrix",
     "BoundState",
     "assemble_hamiltonian",
     "solve_spectrum",
     "select_bound_states",
     "solve",
-    "solve_full",
-    "scale_energy",
-    "gaussian_coupling",
-    "yukawa_coupling",
 ]
 
 
@@ -53,19 +50,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class HamiltonianMatrix:
-    """Dense symmetric mesh Hamiltonian."""
-
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("Hamiltonian contains non-finite entries")
-
-
-@dataclass(frozen=True, eq=False)
 class BoundState:
     """Eigenvalue and normalized expansion coefficients with labels (n, l).
 
@@ -84,8 +68,8 @@ class BoundState:
         self.coefficients.setflags(write=False)
 
 
-def assemble_hamiltonian(problem: ProblemSpec) -> HamiltonianMatrix:
-    """Build H for the given problem, one kernel call on the upper triangle.
+def assemble_hamiltonian(problem: ProblemSpec) -> np.ndarray:
+    """Build the dense symmetric H, one kernel call on the upper triangle.
 
     A kernel that raises or returns a non-finite value is reported as a
     ``NumericalError`` naming the first failing mesh pair in row order.
@@ -116,7 +100,7 @@ def assemble_hamiltonian(problem: ProblemSpec) -> HamiltonianMatrix:
     values[j, i] = entries
     for k in range(n):
         values[k, k] += problem.kinetic.value(momenta[k])
-    return HamiltonianMatrix(order=n, values=values)
+    return values
 
 
 def _site(momenta: np.ndarray, i: int, j: int) -> str:
@@ -140,17 +124,20 @@ def _raise_at_first_failure(kernel, momenta: np.ndarray, rows, cols) -> None:
             )
 
 
-def solve_spectrum(hamiltonian: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and orthonormal eigenvectors of H.
+def solve_spectrum(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues (ascending) and orthonormal eigenvectors of a mesh H.
 
-    Exact degeneracies are ordered by the index of the largest-magnitude
+    A non-finite entry is refused before the eigensolver sees it. Exact
+    degeneracies are ordered by the index of the largest-magnitude
     coefficient, so the output is reproducible.
     """
-    energies, vectors = eigh_refined(hamiltonian.values)
+    if not np.all(np.isfinite(hamiltonian)):
+        raise NumericalError("Hamiltonian contains non-finite entries")
+    energies, vectors = eigh_refined(hamiltonian)
     order = np.lexsort((np.argmax(np.abs(vectors), axis=0), energies))
     energies = energies[order]
     vectors = vectors[:, order]
-    residual = np.abs(hamiltonian.values @ vectors - vectors * energies).max()
+    residual = np.abs(hamiltonian @ vectors - vectors * energies).max()
     norm = np.abs(energies).max()  # ||H||_2 of a symmetric H, without an SVD
     if norm > 0.0 and residual > 1e-11 * norm:
         raise NumericalError(
@@ -162,15 +149,15 @@ def solve_spectrum(hamiltonian: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarr
 def select_bound_states(
     energies: np.ndarray,
     vectors: np.ndarray,
-    kinetic,
+    window: tuple[float, float],
     mesh: LaguerreMesh,
     l: int,
 ) -> list[BoundState]:
-    """Keep eigenpairs inside the kinetic bound window, normalized and labeled.
+    """Keep eigenpairs with lower < energy < upper, normalized and labeled.
 
     Returns them in ascending energy; an empty list is a legitimate outcome.
     """
-    lower, upper = kinetic.bound_window()
+    lower, upper = window
     states = []
     for idx in np.flatnonzero((energies > lower) & (energies < upper)):
         c = vectors[:, idx].copy()
@@ -204,27 +191,6 @@ def solve(problem: ProblemSpec) -> list[BoundState]:
     Full spectra are cached per ProblemSpec, so repeated observable
     evaluations on the same problem are free.
     """
+    window = problem.kinetic.bound_window()  # a missing window fails before the solve
     spectrum, vectors = _solve_cached(problem)
-    return select_bound_states(
-        spectrum, vectors, problem.kinetic, problem.mesh(), problem.l
-    )
-
-
-def solve_full(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Cached full spectrum of a problem (all N eigenpairs)."""
-    return _solve_cached(problem)
-
-
-def scale_energy(eps: float, mu: float, b: float) -> float:
-    """Physical energy from a dimensionless eigenvalue: E = b^2 eps / (2 mu)."""
-    return b * b * eps / (2.0 * mu)
-
-
-def gaussian_coupling(mu: float, a: float, b: float) -> float:
-    """Dimensionless strength g = 2 mu a / b^2 of -a exp(-b^2 r^2)."""
-    return 2.0 * mu * a / (b * b)
-
-
-def yukawa_coupling(mu: float, a: float, b: float) -> float:
-    """Dimensionless strength g = 2 mu a / b of -a exp(-b r)/r."""
-    return 2.0 * mu * a / b
+    return select_bound_states(spectrum, vectors, window, problem.mesh(), problem.l)

@@ -24,15 +24,15 @@ from lagmesh import (
     expval_momentum,
     expval_radial,
     expval_radial_config,
-    hamiltonian_consistency,
     lagrange_function,
     reduced_wavefunction,
     solve,
     solve_config,
-    solve_full,
+    solve_spectrum,
     wavefunction_position,
 )
 from lagmesh.cli import main as cli_main
+from lagmesh.observables import mean_values
 from lagmesh.potentials import (
     partial_wave_gaussian,
     partial_wave_numeric,
@@ -108,7 +108,7 @@ def _table1_column(size):
         "q4": expval_momentum(state, lambda p: p**4),
         "x": expval_radial(state, calc, lambda r: r),
         "U": expval_radial(state, calc, pot.radial_value),
-        "H": hamiltonian_consistency(state, problem)[1],
+        "H": mean_values(state, problem)["hamiltonian_mean"],
     }
 
 
@@ -129,8 +129,7 @@ def test_criterion_1_table1_momentum():
 def test_criterion_2_table1_configuration():
     failures = []
     problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
-    _, states = solve_config(problem)
-    state = states[0]
+    state = solve_config(problem)[0]
     check_cell(failures, "energy", state.energy, "-5.3775999070684", tol=1e-9)
     check_cell(failures, "x", expval_radial_config(state, lambda r: r), "0.7134620")
     check_cell(
@@ -188,7 +187,7 @@ def test_criterion_3_table2_salpeter():
             "p4": expval_momentum(state, lambda p: p**4),
             "r": expval_radial(state, calc, lambda r: r),
             "U": expval_radial(state, calc, pot.radial_value),
-            "H": hamiltonian_consistency(state, problem)[1],
+            "H": mean_values(state, problem)["hamiltonian_mean"],
         }
         for key, printed in refs.items():
             check_cell(failures, f"N={size} {key}", column[key], printed)
@@ -249,7 +248,7 @@ def test_criterion_5_figure_spot_values():
         ("(c) Yukawa momentum N=20 h=0.5", solve(yukawa10(size=20, scale=0.5))[0].energy, -16.2066, 1e-3),
         (
             "(d) Yukawa configuration N=20 h_r=0.05",
-            solve_config(ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 20, 0.05))[1][0].energy,
+            solve_config(ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 20, 0.05))[0].energy,
             -16.3404,
             1e-3,
         ),
@@ -350,9 +349,9 @@ def test_criterion_7_property_suite():
     # eigen residuals and eigenvector normalization on a benchmark problem
     problem = gauss15()
     matrix = assemble_hamiltonian(problem)
-    energies, vectors = solve_full(problem)
-    residual = np.abs(matrix.values @ vectors - vectors * energies).max()
-    bound = 1e-11 * np.linalg.norm(matrix.values, 2)
+    energies, vectors = solve_spectrum(matrix)
+    residual = np.abs(matrix @ vectors - vectors * energies).max()
+    bound = 1e-11 * np.linalg.norm(matrix, 2)
     if residual > bound:
         failures.append(f"eigen residual {residual:.2e} above {bound:.2e}")
     state = solve(problem)[0]
@@ -377,11 +376,13 @@ def test_criterion_8_plateau_and_consistency():
     if abs(e_a - e_b) > 1e-9:
         failures.append(f"plateau: |eps(0.4) - eps(0.5)| = {abs(e_a - e_b):.2e} > 1e-9")
     problem = gauss15()
-    eps, mean = hamiltonian_consistency(solve(problem)[0], problem)
+    state = solve(problem)[0]
+    eps, mean = state.energy, mean_values(state, problem)["hamiltonian_mean"]
     if abs(eps - mean) > 1e-9:
         failures.append(f"table-1 consistency residual {abs(eps - mean):.2e} > 1e-9")
     yuk = yukawa10()  # N=200, h=0.8 ground state
-    eps_y, mean_y = hamiltonian_consistency(solve(yuk)[0], yuk)
+    state_y = solve(yuk)[0]
+    eps_y, mean_y = state_y.energy, mean_values(state_y, yuk)["hamiltonian_mean"]
     gap = abs(mean_y - eps_y)
     reference_gap = abs(-16.331047 - (-16.340415))
     if not 0.8 * reference_gap <= gap <= 1.2 * reference_gap:
@@ -400,8 +401,7 @@ def test_criterion_9_fourier_reconstruction():
     # oscillation onset must be located.
     failures = []
     mom_state = solve(gauss15(size=20))[0]
-    _, conf_states = solve_config(ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4))
-    conf_state = conf_states[0]
+    conf_state = solve_config(ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4))[0]
     grid = np.arange(0.1, 10.01, 0.1)
     u_mom = grid * wavefunction_position(mom_state, grid)
     u_conf = reduced_wavefunction(conf_state, grid)

@@ -229,6 +229,20 @@ class TestWavefunctionTask:
             assert f"{value:.17g}" == text  # 17 significant digits round-trip
 
 
+    @pytest.mark.parametrize("space", ["momentum", "position"])
+    def test_negative_grid_point_is_configuration_error(self, tmp_path, capsys, space):
+        out = tmp_path / "wave.csv"
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 10\nmesh.h = 0.5\n"
+            f"run.task = wavefunction\nrun.out = {out}\nwave.space = {space}\n"
+            "wave.grid = -1.0,0.0,1.0\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert "wave.grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCompareTask:
     def test_gaussian_benchmark_agreement(self, tmp_path):
         cfg = tmp_path / "cmp.cfg"

@@ -18,8 +18,7 @@ from lagmesh.errors import ConfigurationError, NumericalError
 @pytest.fixture(scope="module")
 def gauss_conf():
     problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
-    _, states = solve_config(problem)
-    return problem, states[0]
+    return problem, solve_config(problem)[0]
 
 
 class TestGaussianBenchmark:
@@ -49,18 +48,18 @@ class TestGaussianBenchmark:
 class TestYukawaBenchmark:
     def test_deep_ground_state(self):
         problem = ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 200, 0.02)
-        _, states = solve_config(problem)
+        states = solve_config(problem)
         assert_ulp(states[0].energy, "-16.340426")
 
     def test_radial_excitation(self):
         problem = ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 200, 0.05)
-        _, states = solve_config(problem)
+        states = solve_config(problem)
         assert len(states) == 2
         assert_ulp(states[1].energy, "-0.6053933")
 
     def test_p_wave_state_and_observable(self):
         problem = ConfigProblem(YukawaPotential(10.0, 1.0), 1, 0.5, 200, 0.05)
-        _, states = solve_config(problem)
+        states = solve_config(problem)
         assert len(states) == 1
         assert_ulp(states[0].energy, "-0.205082327")
         assert_ulp(
@@ -84,7 +83,7 @@ class TestProblemValidation:
 class TestReducedWavefunction:
     def test_node_values_match_coefficients(self):
         problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4)
-        _, states = solve_config(problem)
+        states = solve_config(problem)
         state = states[0]
         mesh = state.mesh
         for j in (0, 5, 12):
@@ -94,5 +93,5 @@ class TestReducedWavefunction:
 
     def test_vanishes_at_origin(self):
         problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4)
-        _, states = solve_config(problem)
+        states = solve_config(problem)
         assert reduced_wavefunction(states[0], 0.0) == 0.0

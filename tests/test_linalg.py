@@ -11,10 +11,10 @@ EPS = np.finfo(float).eps
 
 
 def _yukawa_hamiltonian():
-    return assemble_hamiltonian(yukawa10(size=30, scale=0.8)).values
+    return assemble_hamiltonian(yukawa10(size=30, scale=0.8))
 
 
-def _r_squared_form():
+def _r2_form():
     return radial_form(build_mesh(30, 0.8), 0) / 0.64
 
 
@@ -25,7 +25,7 @@ def _graded_config_hamiltonian():
 
 @pytest.mark.parametrize(
     "build",
-    [_yukawa_hamiltonian, _r_squared_form, _graded_config_hamiltonian],
+    [_yukawa_hamiltonian, _r2_form, _graded_config_hamiltonian],
     ids=["yukawa_h", "r2", "config_l1"],
 )
 def test_matches_correctly_rounded_40_digit_spectrum(build):
@@ -63,7 +63,7 @@ def test_degenerate_spectrum_stays_orthonormal(spectrum, rotated):
 
 
 def test_zero_passes_is_lapack():
-    a = _r_squared_form()
+    a = _r2_form()
     w, v = eigh_refined(a, passes=0)
     w0, v0 = np.linalg.eigh(a)
     np.testing.assert_array_equal(w, w0)

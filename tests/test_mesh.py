@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagmesh.errors import ConfigurationError, NumericalError
-from lagmesh.mesh import build_mesh, lagrange_function, quadrature
+from lagmesh.mesh import _node_values, build_mesh, lagrange_function
 
 
 class TestBuildMesh:
@@ -71,9 +71,10 @@ class TestLagrangeFunction:
         m = build_mesh(12, 1.0)
         for i in (1, 4, 12):
             for j in (1, 4, 12):
-                overlap = quadrature(
-                    m, lambda x: lagrange_function(m, i, x) * lagrange_function(m, j, x)
-                )
+                products = [
+                    lagrange_function(m, i, x) * lagrange_function(m, j, x) for x in m.nodes
+                ]
+                overlap = np.dot(m.weights, products)
                 assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
     def test_index_bounds(self):
@@ -87,18 +88,20 @@ class TestLagrangeFunction:
 class TestQuadrature:
     def test_exponential(self):
         m = build_mesh(6, 1.0)
-        assert quadrature(m, lambda x: math.exp(-x)) == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(m.weights, np.exp(-m.nodes)) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_times_exponential(self):
         m = build_mesh(3, 1.0)
-        assert quadrature(m, lambda x: x * math.exp(-x)) == pytest.approx(1.0, abs=1e-11)
+        assert np.dot(m.weights, m.nodes * np.exp(-m.nodes)) == pytest.approx(1.0, abs=1e-11)
 
     def test_cubic_exact_at_two_points(self):
         # degree 3 = 2N-1 is the exactness edge for N=2
         m = build_mesh(2, 1.0)
-        assert quadrature(m, lambda x: x**3 * math.exp(-x)) == pytest.approx(6.0, abs=1e-10)
+        assert np.dot(m.weights, m.nodes**3 * np.exp(-m.nodes)) == pytest.approx(6.0, abs=1e-10)
 
     def test_non_finite_integrand_rejected(self):
+        # the node evaluator behind every diagonal mean value and the
+        # configuration-space potential
         m = build_mesh(4, 1.0)
-        with pytest.raises(NumericalError):
-            quadrature(m, lambda x: float("inf"))
+        with pytest.raises(NumericalError, match="mesh node 1 "):
+            _node_values(m, lambda x: float("inf"), "integrand")

@@ -10,16 +10,17 @@ from lagmesh import (
     CustomPotential,
     GaussianPotential,
     ProblemSpec,
+    assemble_hamiltonian,
     build_mesh,
     build_position_calculus,
     expval_kinetic_config,
     expval_momentum,
     expval_radial,
-    hamiltonian_consistency,
     lagrange_function,
     reduced_wavefunction,
     solve,
     solve_config,
+    solve_spectrum,
     wavefunction_momentum,
     wavefunction_position,
 )
@@ -47,7 +48,8 @@ class TestPositionCalculus:
     def test_l0_is_scaled_second_derivative(self):
         mesh = build_mesh(10, 0.5)
         calc = build_position_calculus(mesh, 0)
-        assert calc.r_squared == pytest.approx(radial_form(mesh, 0) / 0.25, rel=1e-15)
+        r2 = calc.transform @ np.diag(calc.eigenvalues) @ calc.transform.T
+        assert r2 == pytest.approx(radial_form(mesh, 0) / 0.25, rel=1e-15)
 
     @pytest.mark.parametrize("size", [10, 20, 50])
     @pytest.mark.parametrize("l", [0, 1])
@@ -105,15 +107,16 @@ class TestRadialExpectations:
         # K = r^2 through the factorization equals the direct quadratic form
         calc = build_position_calculus(gauss15_ground.mesh, 0)
         via_calculus = expval_radial(gauss15_ground, calc, lambda r: r * r)
-        direct = float(
-            gauss15_ground.coefficients @ calc.r_squared @ gauss15_ground.coefficients
-        )
+        mesh = gauss15_ground.mesh
+        r2 = radial_form(mesh, 0) / mesh.scale**2
+        direct = float(gauss15_ground.coefficients @ r2 @ gauss15_ground.coefficients)
         assert via_calculus == pytest.approx(direct, abs=1e-10)
 
 
 class TestHamiltonianConsistency:
     def test_gaussian_benchmark(self, gauss15_ground):
-        eps, mean = hamiltonian_consistency(gauss15_ground, gauss15())
+        eps = gauss15_ground.energy
+        mean = mean_values(gauss15_ground, gauss15())["hamiltonian_mean"]
         assert eps == pytest.approx(-5.3775999070682, abs=1e-9)
         assert mean == pytest.approx(-5.3775999070684, abs=1e-9)
         assert abs(eps - mean) <= 1e-9
@@ -126,27 +129,19 @@ class TestHamiltonianConsistency:
             8,
             0.6,
         )
-        from lagmesh import solve_full
-
-        energies, vectors = solve_full(problem)
+        energies, vectors = solve_spectrum(assemble_hamiltonian(problem))
         mesh = problem.mesh()
-        from lagmesh import BoundState
-
         state = BoundState(float(energies[0]), vectors[:, 0].copy(), 0, 0, mesh)
-        eps, mean = hamiltonian_consistency(state, problem)
+        eps, mean = state.energy, mean_values(state, problem)["hamiltonian_mean"]
         assert abs(eps - mean) < 1e-12
 
 
 class TestMeanValues:
     @pytest.mark.parametrize("make_problem", [gauss15, salpeter_gauss])
-    def test_hamiltonian_consistency_reads_mean_values(self, make_problem):
+    def test_hamiltonian_mean_is_t_plus_v(self, make_problem):
         problem = make_problem()
         state = solve(problem)[0]
         values = mean_values(state, problem)
-        assert hamiltonian_consistency(state, problem) == (
-            state.energy,
-            values["hamiltonian_mean"],
-        )
         assert values["hamiltonian_mean"] == values["kinetic_mean"] + values["potential_mean"]
 
 
@@ -227,8 +222,7 @@ class TestWavefunctions:
 
     def test_parseval_against_configuration_space(self, gauss15_ground):
         problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
-        _, states = solve_config(problem)
-        conf_q2 = expval_kinetic_config(states[0], problem)
+        conf_q2 = expval_kinetic_config(solve_config(problem)[0], problem)
         mom_q2 = expval_momentum(gauss15_ground, lambda p: p * p)
         assert abs(mom_q2 - conf_q2) <= 1e-8
 

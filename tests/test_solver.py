@@ -6,23 +6,31 @@ import pytest
 
 from conftest import DIMENSIONLESS, gauss15, salpeter_gauss, yukawa10
 from lagmesh import (
+    CustomKinetic,
     CustomPotential,
     GaussianPotential,
-    HamiltonianMatrix,
-    NonrelativisticKinetic,
     ProblemSpec,
     SalpeterKinetic,
     YukawaPotential,
     assemble_hamiltonian,
-    gaussian_coupling,
-    scale_energy,
     select_bound_states,
     solve,
     solve_spectrum,
-    yukawa_coupling,
 )
+from lagmesh import solver as solver_module
+from lagmesh.errors import ConfigurationError, NumericalError
 from lagmesh.mesh import build_mesh
 from lagmesh.potentials import PartialWaveKernel, partial_wave_gaussian
+
+
+@pytest.fixture
+def no_eigensolver(monkeypatch):
+    """Fail the test if the solver reaches the eigensolver."""
+
+    def must_not_run(a):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(solver_module, "eigh_refined", must_not_run)
 
 
 class TestAssembly:
@@ -31,26 +39,24 @@ class TestAssembly:
         h = assemble_hamiltonian(problem)
         mesh = problem.mesh()
         expected = np.diag((0.7 * mesh.nodes) ** 2)
-        assert h.values == pytest.approx(expected, abs=1e-15)
+        assert h == pytest.approx(expected, abs=1e-15)
 
     def test_single_point_closed_form(self):
         # H_11 = T(h^2 x_1^2) + h^3 w_1 x_1^2 V_0(h x_1, h x_1) with x_1 = 1
         problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 1, 1.0)
         h = assemble_hamiltonian(problem)
         expected = 1.0 + math.e * partial_wave_gaussian(0, 1.0, 1.0, 15.0, 1.0)
-        assert h.values[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert h[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_symmetry_exact(self):
         cases = [(YukawaPotential(10.0, 1.0), 0, 0.8)]
         cases += [(GaussianPotential(15.0, 1.0), l, 0.5) for l in (0, 1, 2)]
         for potential, l, scale in cases:
             problem = ProblemSpec(DIMENSIONLESS, potential, l, 20, scale)
-            h = assemble_hamiltonian(problem).values
+            h = assemble_hamiltonian(problem)
             assert np.array_equal(h, h.T), f"{potential} l={l}"
 
     def test_kernel_failure_reports_the_site(self):
-        from lagmesh.errors import NumericalError
-
         def broken(k):
             raise ValueError("synthetic kernel breakdown")
 
@@ -64,8 +70,6 @@ class TestAssembly:
         assert "np.float64" not in message
 
     def test_non_finite_kernel_value_names_the_pair(self):
-        from lagmesh.errors import NumericalError
-
         mesh = build_mesh(5, 0.7)
         p_bad, q_bad = mesh.scale * mesh.nodes[1], mesh.scale * mesh.nodes[3]
 
@@ -82,8 +86,6 @@ class TestAssembly:
             assemble_hamiltonian(problem)
 
     def test_failure_inside_a_batch_names_the_first_failing_pair(self):
-        from lagmesh.errors import NumericalError
-
         mesh = build_mesh(5, 0.7)
         p_bad = mesh.scale * mesh.nodes[2]
 
@@ -103,13 +105,11 @@ class TestAssembly:
 
 class TestSpectrum:
     def test_identity_matrix(self):
-        h = HamiltonianMatrix(3, np.eye(3))
-        energies, vectors = solve_spectrum(h)
+        energies, vectors = solve_spectrum(np.eye(3))
         assert energies == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_two_by_two_closed_form(self):
-        h = HamiltonianMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        energies, _ = solve_spectrum(h)
+        energies, _ = solve_spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert energies == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_benchmark_ground_state(self):
@@ -120,11 +120,28 @@ class TestSpectrum:
     def test_residual_and_orthonormality_contracts(self):
         h = assemble_hamiltonian(yukawa10(size=50, scale=0.8))
         energies, vectors = solve_spectrum(h)
-        residual = np.abs(h.values @ vectors - vectors * energies).max()
-        assert residual <= 1e-11 * np.linalg.norm(h.values, 2)
+        residual = np.abs(h @ vectors - vectors * energies).max()
+        assert residual <= 1e-11 * np.linalg.norm(h, 2)
         gram = vectors.T @ vectors
-        assert np.max(np.abs(gram - np.eye(h.order))) < 1e-11
+        assert np.max(np.abs(gram - np.eye(len(h)))) < 1e-11
         assert np.all(np.diff(energies) >= 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_refused_before_the_eigensolver(self, no_eigensolver, bad):
+        h = np.eye(3)
+        h[1, 2] = h[2, 1] = bad
+        with pytest.raises(NumericalError, match="contains non-finite"):
+            solve_spectrum(h)
+
+    def test_kinetic_infinite_at_a_node_is_numerical_failure(self):
+        mesh = build_mesh(6, 0.7)
+        p_bad = mesh.scale * mesh.nodes[3]
+        kinetic = CustomKinetic(
+            lambda p2: math.inf if p2 == p_bad * p_bad else p2, window=(-math.inf, 0.0)
+        )
+        problem = ProblemSpec(kinetic, GaussianPotential(15.0, 1.0), 0, 6, 0.7)
+        with pytest.raises(NumericalError, match="contains non-finite"):
+            solve(problem)
 
 
 class TestBoundStates:
@@ -164,26 +181,27 @@ class TestBoundStates:
         problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(0.1, 1.0), 0, 30, 0.5)
         assert solve(problem) == []
 
+    def test_missing_window_refused_before_the_solve(self, no_eigensolver):
+        problem = ProblemSpec(CustomKinetic(lambda p2: p2), GaussianPotential(15.0, 1.0), 0, 6, 0.7)
+        with pytest.raises(ConfigurationError, match="window"):
+            solve(problem)
+
     def test_select_returns_rank_labels(self):
         energies = np.array([-2.0, -1.0, 3.0])
         vectors = np.eye(3)
         states = select_bound_states(
-            energies, vectors, DIMENSIONLESS, build_mesh(3, 1.0), l=2
+            energies, vectors, DIMENSIONLESS.bound_window(), build_mesh(3, 1.0), l=2
         )
         assert [s.n for s in states] == [0, 1]
         assert all(s.l == 2 for s in states)
 
 
 class TestScalingRelations:
-    def test_unit_prefactor(self):
-        assert scale_energy(-3.5, 0.5, 1.0) == -3.5
-
     def test_yukawa_table_rescaling(self):
-        assert scale_energy(-16.340415, 0.5, 2.0) == pytest.approx(-65.36166, abs=1e-5)
-
-    def test_coupling_definitions(self):
-        assert gaussian_coupling(0.5, 15.0, 1.0) == 15.0
-        assert yukawa_coupling(0.5, 10.0, 1.0) == 10.0
+        # a = 20, b = 2 at h = 1.6 is the g = 10, b = 1 mesh at h = 0.8 with
+        # every entry of H scaled by b^2 = 4
+        problem = ProblemSpec(DIMENSIONLESS, YukawaPotential(20.0, 2.0), 0, 200, 1.6)
+        assert solve(problem)[0].energy == pytest.approx(-65.36166, abs=1e-5)
 
 
 class TestConvergenceBehavior:
