@@ -10,9 +10,7 @@ for identical configuration.
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from .configspace import ConfigProblem, solve_config
@@ -233,25 +231,18 @@ def run_observables(cfg: RunConfig) -> None:
         print(f"wrote {cfg.out}")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _scan(cfg: RunConfig, points, solve_point) -> list:
-    # embarrassingly parallel; map() keeps the deterministic grid order. More
-    # threads than CPUs only overlap the solves' working sets.
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        results = list(pool.map(solve_point, points))
+def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
+    """Solve each problem in grid order and write one row per bound state."""
     rows = []
-    for point, states in zip(points, results):
-        for st in states:
+    for problem in problems:
+        point = [str(problem.size), _fmt(problem.scale)]
+        for st in solve(problem):
             if not math.isfinite(st.energy):
                 raise NumericalError(f"non-finite energy at scan point {point!r}")
             rows.append(point + [str(st.n), str(st.l), _fmt(st.energy)])
-    return rows
+    out = cfg.out or default_out
+    write_csv(out, ["N", "h", "n", "l", "energy"], rows)
+    print(f"wrote {out} ({len(rows)} rows)")
 
 
 def run_scan_h(cfg: RunConfig) -> None:
@@ -259,15 +250,7 @@ def run_scan_h(cfg: RunConfig) -> None:
         raise ConfigurationError("scan-h needs a scan.h grid")
     if cfg.size is None:
         raise ConfigurationError("scan-h needs mesh.N")
-
-    def at(h):
-        return solve(cfg.problem(scale=h))
-
-    cfg.problem(scale=cfg.scan_h[0]).mesh()  # build the nodes once, before the pool
-    rows = _scan(cfg, [[str(cfg.size), _fmt(h)] for h in cfg.scan_h], lambda pt: at(float(pt[1])))
-    out = cfg.out or "scan_h.csv"
-    write_csv(out, ["N", "h", "n", "l", "energy"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
+    _scan(cfg, [cfg.problem(scale=h) for h in cfg.scan_h], "scan_h.csv")
 
 
 def run_scan_n(cfg: RunConfig) -> None:
@@ -275,14 +258,7 @@ def run_scan_n(cfg: RunConfig) -> None:
         raise ConfigurationError("scan-n needs a scan.N grid")
     if cfg.scale is None:
         raise ConfigurationError("scan-n needs mesh.h")
-
-    def at(n):
-        return solve(cfg.problem(size=n))
-
-    rows = _scan(cfg, [[str(n), _fmt(cfg.scale)] for n in cfg.scan_n], lambda pt: at(int(pt[0])))
-    out = cfg.out or "scan_n.csv"
-    write_csv(out, ["N", "h", "n", "l", "energy"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
+    _scan(cfg, [cfg.problem(size=n) for n in cfg.scan_n], "scan_n.csv")
 
 
 def run_wavefunction(cfg: RunConfig) -> None:
@@ -308,8 +284,8 @@ def run_wavefunction(cfg: RunConfig) -> None:
 
 
 def run_compare(cfg: RunConfig) -> None:
+    config_problem = cfg.config_problem()  # refuse bad settings before any solve
     problem, states = _solve_states(cfg)
-    config_problem = cfg.config_problem()
     if not states:
         raise NumericalError("no momentum-space bound state to compare")
     config_states = solve_config(config_problem)

@@ -64,8 +64,8 @@ def build_mesh(size: int, scale: float) -> LaguerreMesh:
     """Construct the N-point mesh with the given physical scale factor."""
     if not isinstance(size, (int, np.integer)) or not 1 <= size <= 512:
         raise ConfigurationError(f"mesh size must be an integer in [1, 512], got {size!r}")
-    if not scale > 0.0:
-        raise ConfigurationError(f"mesh scale factor must be positive, got {scale!r}")
+    if not 0.0 < scale < math.inf:
+        raise ConfigurationError(f"mesh scale factor must be positive and finite, got {scale!r}")
     nodes, weights = _nodes_and_weights(size)
     return LaguerreMesh(size=size, nodes=nodes, weights=weights, scale=scale)
 

@@ -115,6 +115,9 @@ def _momenta(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p_arr, q_arr
 
 
+_GAUSS_MAX_DEGREE = 8  # accuracy bound measured in the partial_wave_gaussian docstring
+
+
 def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     """Gaussian kernel V_l(p, p') as a finite combination of exponential
     integrals E_{2k-l} at arguments +-(p p' / 2 b^2), scalar or elementwise
@@ -128,7 +131,12 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     against a 40-digit quadrature of the Legendre projection is 3.1e-10
     relative on the scalar path and 5.1e-10 on the array path (a=15, b=1,
     l=2, N=200, h=0.5, mesh pair (1, 10)); it occurs on small-pp' entries
-    near 1e-25 of max|H| and moves no eigenvalue.
+    near 1e-25 of max|H| and moves no eigenvalue. Against the exact form
+    e^(-s) i_l(p p'/2b^2) on meshes N = 10..400, h = 0.1..2 at b = 1, the
+    worst |dH|/max|H| is 1.2e-14 for l <= 4, 3.4e-13 at l = 6, 2.2e-11 at
+    l = 8, 3.3e-7 at l = 12 and 7e2 at l = 20, so ``GaussianPotential``
+    refuses l > 8. Larger b shrinks p p'/2b^2: at b = 3, l = 8 reaches 2e-5
+    (N = 10, h = 0.1).
     """
     p_arr, q_arr = _momenta(p, q)
     y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
@@ -226,6 +234,10 @@ class GaussianPotential:
         return -self.a * math.exp(-((self.b * r) ** 2))
 
     def kernel(self, l: int) -> PartialWaveKernel:
+        if l > _GAUSS_MAX_DEGREE:
+            raise ConfigurationError(
+                f"the Gaussian kernel is accurate for l <= {_GAUSS_MAX_DEGREE}, got l = {l}"
+            )
         a, b = self.a, self.b
         return PartialWaveKernel(l, lambda p, q: partial_wave_gaussian(l, p, q, a, b))
 

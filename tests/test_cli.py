@@ -17,6 +17,13 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+# Yukawa g = 10 grids per scan task: config lines and the (N, h) points they name
+_SCAN_GRIDS = {
+    "scan-h": ("mesh.N = 40\nscan.h = 0.5,0.7,0.9,1.1,1.3\n", [(40, h) for h in (0.5, 0.7, 0.9, 1.1, 1.3)]),
+    "scan-n": ("mesh.h = 0.8\nscan.N = 20,30,40\n", [(n, 0.8) for n in (20, 30, 40)]),
+}
+
+
 class TestConfigParsing:
     def test_flat_grammar_with_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -67,12 +74,24 @@ class TestSolveTask:
     def test_missing_strength_is_configuration_error(self):
         assert run_cli(["--task", "solve", "--potential", "gaussian", "--N", "10", "--h", "0.5"]) == 1
 
-    def test_yukawa_beyond_degree_cap_is_configuration_error(self, capsys):
+    @pytest.mark.parametrize("potential", ["gaussian", "yukawa"])
+    def test_beyond_degree_cap_is_configuration_error(self, capsys, potential):
         code = run_cli(
-            ["--task", "solve", "--g", "10", "--potential", "yukawa", "--l", "9", "--N", "10", "--h", "0.8"]
+            ["--task", "solve", "--g", "10", "--potential", potential, "--l", "9", "--N", "10", "--h", "0.8"]
         )
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_infinite_scale_is_configuration_error(self, capsys):
+        assert run_cli(["--task", "solve", "--g", "15", "--N", "10", "--h", "inf"]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_overflowing_scale_is_numerical_failure(self, capsys):
+        # h^3 overflows to inf, which the Hamiltonian's finiteness check names
+        assert run_cli(["--task", "solve", "--g", "15", "--N", "10", "--h", "1e150"]) == 2
+        assert "numerical failure: non-finite Hamiltonian entry at mesh pair (i=1, j=1)" in (
+            capsys.readouterr().err
+        )
 
     def test_no_bound_state_observables_is_numerical_failure(self):
         code = run_cli(
@@ -133,24 +152,24 @@ class TestScanTasks:
         hs = [row[1] for row in rows if row[2] == "0"]
         assert hs == ["0.40000000000000002", "0.59999999999999998", "0.80000000000000004", "1"]
 
-    def test_scan_h_pool_matches_serial_solves(self, tmp_path):
-        # the scan runs on a thread pool; its rows must be the serial solves'
-        # energies, bit for bit, in grid order
+    @pytest.mark.parametrize("task", ["scan-h", "scan-n"])
+    def test_scan_rows_are_the_solves(self, tmp_path, task):
+        # the rows are the solves' energies, bit for bit, in grid order
+        settings, points = _SCAN_GRIDS[task]
         cfg = tmp_path / "scan.cfg"
         out = tmp_path / "scan.csv"
-        grid = [0.5, 0.7, 0.9, 1.1, 1.3]
         cfg.write_text(
-            "problem.g = 10.0\nproblem.potential = yukawa\nmesh.N = 40\nrun.task = scan-h\n"
-            f"run.out = {out}\nscan.h = {','.join(map(str, grid))}\n"
+            f"problem.g = 10.0\nproblem.potential = yukawa\n{settings}run.task = {task}\n"
+            f"run.out = {out}\n"
         )
         assert run_cli(["--config", str(cfg)]) == 0
         _, rows = read_rows(out)
         solver_module._solve_cached.cache_clear()
         expected = []
-        for h in grid:
-            problem = ProblemSpec(NonrelativisticKinetic(1.0, 1.0), YukawaPotential(10.0, 1.0), 0, 40, h)
-            expected += [(h, st.n, st.energy) for st in solve(problem)]
-        assert [(float(r[1]), int(r[2]), float(r[4])) for r in rows] == expected
+        for size, h in points:
+            problem = ProblemSpec(NonrelativisticKinetic(1.0, 1.0), YukawaPotential(10.0, 1.0), 0, size, h)
+            expected += [(size, h, st.n, st.energy) for st in solve(problem)]
+        assert [(int(r[0]), float(r[1]), int(r[2]), float(r[4])) for r in rows] == expected
 
     def test_scan_n_ordering_and_completeness(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
@@ -288,6 +307,19 @@ class TestCompareTask:
         _, rows = read_rows(out)
         conf = {row[0]: float(row[2]) for row in rows}
         assert abs(conf["hamiltonian_mean"] - conf["energy"]) <= 1e-9
+
+    def test_missing_configuration_scale_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(problem):
+            pytest.fail("compare solved before checking its settings")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(
+            "problem.g = 10.0\nproblem.potential = yukawa\nmesh.N = 400\nmesh.h = 0.8\n"
+            "run.task = compare\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert "mesh.h_r is required" in capsys.readouterr().err
 
     def test_salpeter_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"

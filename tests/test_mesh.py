@@ -31,7 +31,7 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             m.weights[0] = 2.0
 
-    @pytest.mark.parametrize("size,scale", [(0, 1.0), (513, 1.0), (10, 0.0), (10, -1.0)])
+    @pytest.mark.parametrize("size,scale", [(0, 1.0), (513, 1.0), (10, 0.0), (10, -1.0), (10, math.inf), (10, math.nan)])
     def test_invalid_parameters(self, size, scale):
         with pytest.raises(ConfigurationError):
             build_mesh(size, scale)

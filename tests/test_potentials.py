@@ -168,10 +168,11 @@ class TestPotentialSpecs:
         with pytest.raises(ConfigurationError):
             custom.radial_value(1.0)
 
-    def test_yukawa_degree_cap_is_a_configuration_error(self):
-        assert YukawaPotential(10.0, 1.0).kernel(8).l == 8
+    @pytest.mark.parametrize("potential", [GaussianPotential, YukawaPotential], ids=["gaussian", "yukawa"])
+    def test_degree_cap_is_a_configuration_error(self, potential):
+        assert potential(10.0, 1.0).kernel(8).l == 8
         with pytest.raises(ConfigurationError, match="l <= 8"):
-            YukawaPotential(10.0, 1.0).kernel(9)
+            potential(10.0, 1.0).kernel(9)
 
     def test_custom_kernel_keeps_the_array_shape(self):
         kernel = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0)).kernel(0)
