@@ -233,6 +233,8 @@ def run_observables(cfg: RunConfig) -> None:
 
 def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
     """Solve each problem in grid order and write one row per bound state."""
+    for problem in problems:  # build, and so check, every mesh before the first solve
+        problem.mesh()
     rows = []
     for problem in problems:
         point = [str(problem.size), _fmt(problem.scale)]

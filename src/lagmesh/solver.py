@@ -87,7 +87,9 @@ def assemble_hamiltonian(problem: ProblemSpec) -> np.ndarray:
     except Exception as exc:
         _raise_at_first_failure(kernel, momenta, i, j)
         raise NumericalError(f"potential kernel failed on the mesh triangle: {exc}") from exc
-    entries = np.float64(h) ** 3 * sqrt_w[i] * sqrt_w[j] * x[i] * x[j] * v
+    # an overflowing h**3 gives inf/NaN entries, refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = np.float64(h) ** 3 * sqrt_w[i] * sqrt_w[j] * x[i] * x[j] * v
     bad = np.flatnonzero(~np.isfinite(entries))
     if bad.size:
         k = bad[0]

@@ -52,71 +52,101 @@ def laguerre_weighted(N: int, x):
     return float(out[0]) if scalar else out
 
 
-def _laguerre_pair(N: int, x):
-    """(L_N, L_{N-1}) at x, up to a common positive rescaling factor.
+def _newton_step(N: int, x: np.ndarray) -> np.ndarray:
+    """Newton correction for L_N at every element of x, in the dtype of x.
 
-    The recurrence runs in the precision of x: starting from the Python
-    float 1.0 keeps a longdouble x in longdouble throughout.
+    Uses x L_N' = N (L_N - L_{N-1}). The recurrence rescales each element
+    on its own, so every element equals the scalar step bit for bit.
+    Double-precision steps leave the roots wobbling over ~10 ulps; one or
+    two longdouble steps pin them to the last bit.
     """
-    p_prev = 1.0
+    p_prev = np.ones_like(x)
     p = 1.0 - x
     for k in range(1, N):
         p_prev, p = p, ((2 * k + 1 - x) * p - k * p_prev) / (k + 1)
-        if abs(p) > _RESCALE:
-            p /= _RESCALE
-            p_prev /= _RESCALE
-    return p, p_prev
-
-
-def _newton_step(N: int, x):
-    """Newton correction for L_N at x, in the precision of x.
-
-    Uses x L_N' = N (L_N - L_{N-1}). Double-precision steps leave the roots
-    wobbling over ~10 ulps; one or two longdouble steps pin them to the
-    last bit.
-    """
-    p, p_prev = _laguerre_pair(N, x)
+        big = np.abs(p) > _RESCALE
+        if np.count_nonzero(big):
+            p[big] /= _RESCALE
+            p_prev[big] /= _RESCALE
     return -p * x / (N * (p - p_prev))
+
+
+def _polish(N: int, roots: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Newton-polish the seeds of the given (0-based) roots of L_N, each
+    element on its own: double steps until |dz| <= 1e-11 z, then at most
+    four longdouble steps until |dz| <= 1e-17 z, then a 1e-13 residual
+    check on the root rounded to double."""
+    z = np.array(seeds, dtype=float)
+    live = np.arange(z.size)
+    for _ in range(100):
+        if not live.size:
+            break
+        dz = _newton_step(N, z[live])
+        z[live] += dz
+        live = live[~(np.abs(dz) <= 1e-11 * z[live])]
+    if live.size:
+        raise NumericalError(
+            f"Laguerre root {roots[live[0]] + 1}/{N} did not converge "
+            f"(last at x={float(z[live[0]])!r})"
+        )
+    z_ext = z.astype(np.longdouble)
+    live = np.arange(z.size)
+    for _ in range(4):
+        if not live.size:
+            break
+        dz_ext = _newton_step(N, z_ext[live])
+        z_ext[live] += dz_ext
+        live = live[~(np.abs(dz_ext.astype(float)) <= 1e-17 * z[live])]
+    z = z_ext.astype(float)
+    residual = np.abs(_newton_step(N, z.astype(np.longdouble)).astype(float))
+    bad = np.flatnonzero(residual > 1e-13 * z)
+    if bad.size:
+        raise NumericalError(f"Laguerre root {roots[bad[0]] + 1}/{N} fails residual check")
+    return z
+
+
+def _seeds(N: int, zeros: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Asymptotic starting points of the given (0-based) roots: a fixed
+    estimate for the first two, and an extrapolation from roots i-1 and
+    i-2 of ``zeros`` for root i >= 2."""
+    seeds = np.empty(roots.size)
+    seeds[roots == 0] = 3.0 / (1.0 + 2.4 * N)
+    seeds[roots == 1] = zeros[0] + 15.0 / (1.0 + 2.5 * N)
+    later = roots >= 2
+    step = roots[later] - 1
+    below = zeros[step]
+    seeds[later] = below + ((1.0 + 2.55 * step) / (1.9 * step)) * (below - zeros[step - 1])
+    return seeds
 
 
 def laguerre_zeros(N: int) -> np.ndarray:
     """Zeros of L_N, ascending, polished to machine precision by Newton.
 
-    Initial guesses are the standard asymptotic estimates, each root seeding
-    the next; the result is cross-checkable against the tridiagonal
-    (Golub-Welsch) construction.
+    Root i is defined by a sequential recurrence: Newton from an asymptotic
+    seed, 3/(1 + 2.4N) for the first root and an extrapolation from roots
+    i-1 and i-2 for the others. All roots are computed at once by guessing
+    and verifying, every polish running on all its roots elementwise. The
+    guess polishes the Jacobi-matrix (Golub-Welsch) eigenvalues; then every
+    root is re-polished from its seed built from the current roots, and
+    each later round repeats only the roots whose two predecessors changed,
+    until a round changes nothing. The first root's seed is fixed, so by
+    induction the result equals the sequential recurrence bit for bit; a
+    poor guess costs rounds, not accuracy.
     """
     if not 1 <= N <= 512:
         raise ValueError(f"mesh size must satisfy 1 <= N <= 512, got {N}")
-    zeros = np.empty(N)
-    z = 0.0
-    for i in range(N):
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * N)
-        elif i == 1:
-            z += 15.0 / (1.0 + 2.5 * N)
-        else:
-            step = i - 1
-            z += ((1.0 + 2.55 * step) / (1.9 * step)) * (z - zeros[i - 2])
-        for _ in range(100):
-            dz = _newton_step(N, z)
-            z += dz
-            if abs(dz) <= 1e-11 * z:
-                break
-        else:
-            raise NumericalError(
-                f"Laguerre root {i + 1}/{N} did not converge (last at x={z!r})"
-            )
-        z_ext = np.longdouble(z)
-        for _ in range(4):
-            dz_ext = _newton_step(N, z_ext)
-            z_ext += dz_ext
-            if abs(float(dz_ext)) <= 1e-17 * z:
-                break
-        z = float(z_ext)
-        if abs(float(_newton_step(N, np.longdouble(z)))) > 1e-13 * z:
-            raise NumericalError(f"Laguerre root {i + 1}/{N} fails residual check")
-        zeros[i] = z
+    jacobi = np.diag(2.0 * np.arange(N) + 1.0)
+    np.fill_diagonal(jacobi[1:], np.arange(1.0, N))  # eigvalsh reads the lower triangle
+    roots = np.arange(N)
+    zeros = _polish(N, roots, np.linalg.eigvalsh(jacobi))
+    while roots.size:
+        new = _polish(N, roots, _seeds(N, zeros, roots))
+        changed = roots[new != zeros[roots]]
+        zeros[roots] = new
+        # the seed of root i reads roots i-1 and i-2
+        stale = np.zeros(N + 2, dtype=bool)
+        stale[changed + 1] = stale[changed + 2] = True
+        roots = np.flatnonzero(stale[:N])
     if np.any(np.diff(zeros) <= 0.0):
         raise NumericalError(f"Laguerre zeros for N={N} are not strictly increasing")
     return zeros

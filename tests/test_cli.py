@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -88,7 +89,11 @@ class TestSolveTask:
 
     def test_overflowing_scale_is_numerical_failure(self, capsys):
         # h^3 overflows to inf, which the Hamiltonian's finiteness check names
-        assert run_cli(["--task", "solve", "--g", "15", "--N", "10", "--h", "1e150"]) == 2
+        # without NumPy printing overflow warnings first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["--task", "solve", "--g", "15", "--N", "10", "--h", "1e150"]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "numerical failure: non-finite Hamiltonian entry at mesh pair (i=1, j=1)" in (
             capsys.readouterr().err
         )
@@ -196,6 +201,23 @@ class TestScanTasks:
         cfg.write_text(base + f"run.out = {out_b}\n")
         assert run_cli(["--config", str(cfg)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("task", ["scan-h", "scan-n"])
+    def test_bad_later_point_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, task):
+        grid = {"scan-h": "mesh.N = 300\nscan.h = 0.5,inf\n", "scan-n": "mesh.h = 0.5\nscan.N = 10,513\n"}[task]
+
+        def no_solve(problem):
+            pytest.fail("scan solved before checking every point")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        cfg = tmp_path / "scan.cfg"
+        out = tmp_path / "scan.csv"
+        cfg.write_text(
+            f"problem.g = 15.0\nproblem.potential = gaussian\n{grid}run.task = {task}\nrun.out = {out}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_must_increase(self, tmp_path):
         cfg = tmp_path / "scan.cfg"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
+    _newton_step,
     laguerre_weighted,
     laguerre_weights,
     laguerre_zeros,
@@ -80,23 +81,87 @@ class TestLaguerreZeros:
         assert np.all(outer[:-1] < inner) and np.all(inner < outer[1:])
 
     def test_residual_contract(self):
+        # the Newton step -L_N / L_N' is below 1e-13 of the root
         for n in (10, 100):
             zeros = laguerre_zeros(n)
-            for x in zeros:
-                p, p_prev = _pair(n, x)
-                derivative = n * (p - p_prev) / x
-                assert abs(p) <= 1e-13 * abs(derivative) * x
+            assert np.all(np.abs(_newton_step(n, zeros)) <= 1e-13 * zeros)
 
     @pytest.mark.parametrize("n", [0, 513])
     def test_out_of_range_rejected(self, n):
         with pytest.raises(ValueError):
             laguerre_zeros(n)
 
+    @pytest.mark.parametrize("n", list(range(1, 41)) + [50, 64, 100, 200, 256, 400, 512])
+    def test_equals_sequential_recurrence(self, n):
+        assert np.array_equal(laguerre_zeros(n), _sequential_zeros(n))
 
-def _pair(n, x):
-    from lagmesh.specfun import _laguerre_pair
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
+    def test_newton_step_array_equals_scalar_steps(self, n, dtype):
+        # points below, at and beyond the roots, where the recurrence rescales
+        x = np.array([1e-3, 0.5, 3.0, 40.0, 700.0, 1400.0, 1990.0, 2100.0], dtype=dtype)
+        steps = _newton_step(n, x)
+        assert steps.dtype == x.dtype
+        # the double iteration ran on Python floats, the extended one on scalars
+        scalars = [float(v) for v in x] if dtype is np.float64 else list(x)
+        expected = np.array([_sequential_newton_step(n, v) for v in scalars], dtype=dtype)
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(steps, expected)
 
-    return _laguerre_pair(n, x)
+
+# The root-by-root Newton iteration that ``laguerre_zeros`` reproduces, kept
+# verbatim as the reference for its bit-for-bit equality.
+
+
+def _sequential_laguerre_pair(N: int, x):
+    p_prev = 1.0
+    p = 1.0 - x
+    for k in range(1, N):
+        p_prev, p = p, ((2 * k + 1 - x) * p - k * p_prev) / (k + 1)
+        if abs(p) > 1e250:
+            p /= 1e250
+            p_prev /= 1e250
+    return p, p_prev
+
+
+def _sequential_newton_step(N: int, x):
+    p, p_prev = _sequential_laguerre_pair(N, x)
+    return -p * x / (N * (p - p_prev))
+
+
+def _sequential_zeros(N: int) -> np.ndarray:
+    zeros = np.empty(N)
+    z = 0.0
+    for i in range(N):
+        if i == 0:
+            z = 3.0 / (1.0 + 2.4 * N)
+        elif i == 1:
+            z += 15.0 / (1.0 + 2.5 * N)
+        else:
+            step = i - 1
+            z += ((1.0 + 2.55 * step) / (1.9 * step)) * (z - zeros[i - 2])
+        for _ in range(100):
+            dz = _sequential_newton_step(N, z)
+            z += dz
+            if abs(dz) <= 1e-11 * z:
+                break
+        else:
+            raise NumericalError(
+                f"Laguerre root {i + 1}/{N} did not converge (last at x={z!r})"
+            )
+        z_ext = np.longdouble(z)
+        for _ in range(4):
+            dz_ext = _sequential_newton_step(N, z_ext)
+            z_ext += dz_ext
+            if abs(float(dz_ext)) <= 1e-17 * z:
+                break
+        z = float(z_ext)
+        if abs(float(_sequential_newton_step(N, np.longdouble(z)))) > 1e-13 * z:
+            raise NumericalError(f"Laguerre root {i + 1}/{N} fails residual check")
+        zeros[i] = z
+    if np.any(np.diff(zeros) <= 0.0):
+        raise NumericalError(f"Laguerre zeros for N={N} are not strictly increasing")
+    return zeros
 
 
 class TestLaguerreWeights:
