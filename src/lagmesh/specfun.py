@@ -272,22 +272,23 @@ def spherical_bessel_j(l: int, x):
     out = np.empty_like(x_arr)
     small = x_arr < l + 1.0
     if np.any(small):
-        out[small] = _bessel_series(l, x_arr[small])
+        out[small] = _bessel_series(l, x_arr[small], -1.0)
     large = ~small
     if np.any(large):
         out[large] = _bessel_recurrence(l, x_arr[large])
     return float(out[0]) if scalar else out
 
 
-def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
-    # prefactor x^l / (2l+1)!!
+def _bessel_series(l: int, x: np.ndarray, sign: float) -> np.ndarray:
+    # x^l/(2l+1)!! sum_k (sign x^2/2)^k / (k! (2l+3)...(2l+2k+1)) is j_l for
+    # sign = -1 and i_l for sign = +1 (DLMF 10.53.1, 10.53.3); i_l takes ~x terms
     pref = np.ones_like(x)
     for k in range(1, l + 1):
         pref *= x / (2 * k + 1)
-    w = -0.5 * x * x
+    w = sign * 0.5 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
-    for k in range(1, 60):
+    for k in range(1, 1000):
         term *= w / (k * (2 * l + 2 * k + 1))
         total += term
         if np.all(np.abs(term) <= 1e-18 * np.abs(total)):

@@ -75,10 +75,12 @@ class TestSolveTask:
     def test_missing_strength_is_configuration_error(self):
         assert run_cli(["--task", "solve", "--potential", "gaussian", "--N", "10", "--h", "0.5"]) == 1
 
-    @pytest.mark.parametrize("potential", ["gaussian", "yukawa"])
-    def test_beyond_degree_cap_is_configuration_error(self, capsys, potential):
+    @pytest.mark.parametrize(
+        "potential, l", [("gaussian", "27"), ("yukawa", "9")], ids=["gaussian", "yukawa"]
+    )
+    def test_beyond_degree_cap_is_configuration_error(self, capsys, potential, l):
         code = run_cli(
-            ["--task", "solve", "--g", "10", "--potential", potential, "--l", "9", "--N", "10", "--h", "0.8"]
+            ["--task", "solve", "--g", "10", "--potential", potential, "--l", l, "--N", "10", "--h", "0.8"]
         )
         assert code == 1
         assert "configuration error" in capsys.readouterr().err

@@ -68,15 +68,60 @@ class TestGaussianKernel:
         num = partial_wave_numeric(1, 1.0, 1.0, lambda k: vft_gaussian(k, 1.0, 1.0))
         assert partial_wave_gaussian(1, 1.0, 1.0, 1.0, 1.0) == pytest.approx(num, rel=1e-10)
 
-    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("l", [0, 1, 2, 8, 26])
     def test_array_call_equals_scalar_calls(self, l):
-        # y = p p'/2b^2 on both sides of the branch point y = 5, interleaved
-        p = np.array([0.01, 3.0, 0.5, 3.2, 1.0, 10.0, 3.1, 0.2])
-        q = np.array([0.3, 3.4, 2.0, 3.2, 1.5, 7.0, 3.2258, 0.05])
+        # y = p p'/2b^2 on both sides of the branch point y = max(40, l^2),
+        # interleaved, with p = 0 among them
+        cut = math.sqrt(2.0 * max(40.0, l * l))
+        p = np.array([0.01, cut - 1e-9, 0.5, cut + 1e-9, 0.0, 0.9 * cut, 10.0, 1.2 * cut, 0.2])
+        q = np.array([0.3, cut, 2.0, cut, 1.5, cut, 200.0, cut, 0.05])
+        y = p * q / 2.0
+        assert (y < max(40.0, l * l)).sum() >= 3 and (y >= max(40.0, l * l)).sum() >= 3
         values = partial_wave_gaussian(l, p, q, 15.0, 1.0)
         assert values.tolist() == [
             partial_wave_gaussian(l, float(a), float(b), 15.0, 1.0) for a, b in zip(p, q)
         ]
+
+    @pytest.mark.parametrize("b", [1.0, 1.5])
+    def test_zero_momentum_is_the_limit(self, b):
+        # p -> 0 in the l = 0 closed form: sinh(y)/(p p') -> 1/2b^2; i_l(0) = 0 for l > 0
+        limit = -2.0 / (2.0 * math.sqrt(math.pi) * b**3) * math.exp(-(1.3 * 1.3) / (4.0 * b * b))
+        for p, q in ((0.0, 1.3), (1.3, 0.0)):
+            assert partial_wave_gaussian(0, p, q, 2.0, b) == pytest.approx(limit, rel=1e-15)
+            assert partial_wave_gaussian(2, p, q, 2.0, b) == 0.0
+        assert partial_wave_gaussian(0, 0.0, 0.0, 2.0, b) == pytest.approx(
+            -2.0 / (2.0 * math.sqrt(math.pi) * b**3), rel=1e-15
+        )
+
+    def test_matches_40_digit_bessel_form(self):
+        # -a/(2 sqrt(pi) b^3) e^(-s) i_l(y), i_l(y) = sqrt(pi/2y) I_{l+1/2}(y), on
+        # random pairs of random meshes, for every degree up to the cap
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        for size in (10, 50, 200, 400):
+            for _ in range(2):
+                h, b = rng.uniform(0.1, 2.0), rng.uniform(0.3, 3.0)
+                mesh = build_mesh(size, h)
+                i = rng.integers(0, size, 8)
+                # half the pairs near the diagonal, where V is largest; far pairs underflow
+                near = np.clip(i[4:] + rng.integers(-2, 3, 4), 0, size - 1)
+                j = np.concatenate([rng.integers(0, size, 4), near])
+                p, q = mesh.scale * mesh.nodes[i], mesh.scale * mesh.nodes[j]
+                for l in range(27):
+                    values = partial_wave_gaussian(l, p, q, 3.0, b)
+                    with mp.workdps(40):
+                        reference = []
+                        for pp, qq in zip(p.tolist(), q.tolist()):
+                            y = mp.mpf(pp) * qq / (2 * mp.mpf(b) ** 2)
+                            s = (mp.mpf(pp) ** 2 + mp.mpf(qq) ** 2) / (4 * mp.mpf(b) ** 2)
+                            i_l = mp.sqrt(mp.pi / (2 * y)) * mp.besseli(l + mp.mpf(0.5), y)
+                            v = -3 / (2 * mp.sqrt(mp.pi) * mp.mpf(b) ** 3) * mp.exp(-s) * i_l
+                            reference.append(float(v))
+                    reference = np.array(reference)
+                    scale = np.max(np.abs(reference))
+                    assert scale > 0.0
+                    error = np.max(np.abs(values - reference))
+                    assert error <= 1e-13 * scale, f"N={size} h={h} b={b} l={l}"
 
     def test_no_overflow_at_large_momenta(self):
         assert math.isfinite(partial_wave_gaussian(0, 600.0, 600.0, 1.0, 1.0))
@@ -131,10 +176,14 @@ class TestNumericKernel:
 
 
 class TestKernelProperties:
-    @given(momenta, momenta, st.integers(0, 3))
-    def test_symmetry_is_exact(self, p, q, l):
-        assert partial_wave_gaussian(l, p, q, 2.0, 1.5) == partial_wave_gaussian(l, q, p, 2.0, 1.5)
-        assert partial_wave_yukawa(l, p, q, 2.0, 1.5) == partial_wave_yukawa(l, q, p, 2.0, 1.5)
+    @given(momenta, momenta, st.integers(0, 26), st.integers(0, 8))
+    def test_symmetry_is_exact(self, p, q, l_gauss, l_yukawa):
+        assert partial_wave_gaussian(l_gauss, p, q, 2.0, 1.5) == partial_wave_gaussian(
+            l_gauss, q, p, 2.0, 1.5
+        )
+        assert partial_wave_yukawa(l_yukawa, p, q, 2.0, 1.5) == partial_wave_yukawa(
+            l_yukawa, q, p, 2.0, 1.5
+        )
 
     @given(momenta, momenta)
     def test_s_wave_kernels_attractive(self, p, q):
@@ -168,11 +217,17 @@ class TestPotentialSpecs:
         with pytest.raises(ConfigurationError):
             custom.radial_value(1.0)
 
-    @pytest.mark.parametrize("potential", [GaussianPotential, YukawaPotential], ids=["gaussian", "yukawa"])
-    def test_degree_cap_is_a_configuration_error(self, potential):
-        assert potential(10.0, 1.0).kernel(8).l == 8
-        with pytest.raises(ConfigurationError, match="l <= 8"):
-            potential(10.0, 1.0).kernel(9)
+    @pytest.mark.parametrize(
+        "potential, cap", [(GaussianPotential, 26), (YukawaPotential, 8)], ids=["gaussian", "yukawa"]
+    )
+    def test_degree_cap_is_a_configuration_error(self, potential, cap):
+        assert potential(10.0, 1.0).kernel(cap).l == cap
+        with pytest.raises(ConfigurationError, match=f"l <= {cap}"):
+            potential(10.0, 1.0).kernel(cap + 1)
+
+    def test_gaussian_kernel_refuses_degrees_past_the_cap(self):
+        with pytest.raises(ValueError):
+            partial_wave_gaussian(27, 1.0, 1.0, 1.0, 1.0)
 
     def test_custom_kernel_keeps_the_array_shape(self):
         kernel = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0)).kernel(0)
