@@ -303,7 +303,7 @@ def test_criterion_6_bound_state_counting():
 def test_criterion_7_property_suite():
     failures = []
     # Gauss-Laguerre exactness: monomial moments against factorials
-    for n in (1, 5, 20, 50, 200):
+    for n in (1, 5, 20, 50, 200, 400, 512):
         zeros = laguerre_zeros(n)
         log_w = np.log(laguerre_weights(zeros))
         log_x = np.log(zeros)

@@ -60,11 +60,3 @@ def test_degenerate_spectrum_stays_orthonormal(spectrum, rotated):
     np.testing.assert_allclose(w, sorted(spectrum), rtol=0, atol=8 * EPS)
     assert np.abs(v.T @ v - np.eye(5)).max() <= 8 * EPS
     assert np.abs(a @ v - v * w).max() <= 16 * EPS
-
-
-def test_zero_passes_is_lapack():
-    a = _r2_form()
-    w, v = eigh_refined(a, passes=0)
-    w0, v0 = np.linalg.eigh(a)
-    np.testing.assert_array_equal(w, w0)
-    np.testing.assert_array_equal(v, v0)

@@ -1,11 +1,12 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
     _newton_step,
     laguerre_weighted,
@@ -47,6 +48,48 @@ class TestLaguerreValue:
             laguerre_weighted(-1, 1.0)
 
 
+# Exact zeros of L_N: Newton from the Golub-Welsch eigenvalues in 2^-160
+# fixed point on Python integers, so no multiple-precision library is needed.
+# Rounding each Fraction to float gives the correctly rounded zero.
+
+_FRACTION_BITS = 160
+_EXACT_SIZES = list(range(1, 41)) + [50, 64, 100, 200, 256, 400, 512]
+
+
+def _golub_welsch(N: int) -> np.ndarray:
+    """Zeros of L_N as the eigenvalues of the Jacobi matrix."""
+    jacobi = (
+        np.diag(2.0 * np.arange(N) + 1.0)
+        + np.diag(np.arange(1.0, N), 1)
+        + np.diag(np.arange(1.0, N), -1)
+    )
+    return np.linalg.eigvalsh(jacobi)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_zeros(N: int) -> tuple[Fraction, ...]:
+    one = 1 << _FRACTION_BITS
+    x = np.array([int(math.ldexp(v, _FRACTION_BITS)) for v in _golub_welsch(N)], dtype=object)
+    for _ in range(8):
+        p_prev = np.full(N, one, dtype=object)
+        p = one - x
+        for k in range(1, N):
+            p_prev, p = p, (((2 * k + 1) * one - x) * p - k * one * p_prev) // ((k + 1) * one)
+        dx = -p * x // (N * (p - p_prev))
+        x += dx
+        # Newton squares the error, so after a step below 2^-100 only the
+        # fixed-point rounding is left
+        if max(abs(d) for d in dx) <= one >> 100:
+            return tuple(Fraction(int(v), one) for v in x)
+    raise AssertionError(f"exact zeros of L_{N} did not converge")
+
+
+def _ulps_off_exact(N: int) -> np.ndarray:
+    """Distance in ulps of each computed zero from the correctly rounded one."""
+    nearest = np.array([float(zero) for zero in _exact_zeros(N)])
+    return np.abs(laguerre_zeros(N).view(np.int64) - nearest.view(np.int64))
+
+
 class TestLaguerreZeros:
     def test_single_zero(self):
         assert laguerre_zeros(1) == pytest.approx([1.0], abs=1e-15)
@@ -65,14 +108,7 @@ class TestLaguerreZeros:
 
     @pytest.mark.parametrize("n", [5, 20, 64])
     def test_against_tridiagonal_construction(self, n):
-        # Golub-Welsch: zeros are eigenvalues of the Jacobi matrix
-        jacobi = (
-            np.diag(2.0 * np.arange(n) + 1.0)
-            + np.diag(np.arange(1.0, n), 1)
-            + np.diag(np.arange(1.0, n), -1)
-        )
-        oracle = np.linalg.eigvalsh(jacobi)
-        assert laguerre_zeros(n) == pytest.approx(oracle, rel=1e-12)
+        assert laguerre_zeros(n) == pytest.approx(_golub_welsch(n), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 19, 40])
     def test_interlacing(self, n):
@@ -91,9 +127,21 @@ class TestLaguerreZeros:
         with pytest.raises(ValueError):
             laguerre_zeros(n)
 
-    @pytest.mark.parametrize("n", list(range(1, 41)) + [50, 64, 100, 200, 256, 400, 512])
-    def test_equals_sequential_recurrence(self, n):
-        assert np.array_equal(laguerre_zeros(n), _sequential_zeros(n))
+    @pytest.mark.parametrize("n", _EXACT_SIZES)
+    def test_against_exact_zeros(self, n):
+        # correctly rounded up to N = 100; beyond, rounding in the longdouble
+        # recurrence limits the smallest roots
+        assert _ulps_off_exact(n).max() <= (0 if n <= 100 else 8)
+
+    def test_exact_zero_misses_in_total(self):
+        assert sum(np.count_nonzero(_ulps_off_exact(n)) for n in _EXACT_SIZES) <= 11
+
+    def test_exact_reference_closed_forms(self):
+        assert _exact_zeros(1) == (1,)
+        one = 1 << _FRACTION_BITS
+        root2 = Fraction(math.isqrt(2 * one * one), one)
+        for zero, closed in zip(_exact_zeros(2), (2 - root2, 2 + root2)):
+            assert abs(zero - closed) <= Fraction(1, 1 << 150)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
@@ -109,8 +157,8 @@ class TestLaguerreZeros:
         assert np.array_equal(steps, expected)
 
 
-# The root-by-root Newton iteration that ``laguerre_zeros`` reproduces, kept
-# verbatim as the reference for its bit-for-bit equality.
+# The scalar recurrence and Newton step, the reference for the array
+# ``_newton_step``.
 
 
 def _sequential_laguerre_pair(N: int, x):
@@ -127,41 +175,6 @@ def _sequential_laguerre_pair(N: int, x):
 def _sequential_newton_step(N: int, x):
     p, p_prev = _sequential_laguerre_pair(N, x)
     return -p * x / (N * (p - p_prev))
-
-
-def _sequential_zeros(N: int) -> np.ndarray:
-    zeros = np.empty(N)
-    z = 0.0
-    for i in range(N):
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * N)
-        elif i == 1:
-            z += 15.0 / (1.0 + 2.5 * N)
-        else:
-            step = i - 1
-            z += ((1.0 + 2.55 * step) / (1.9 * step)) * (z - zeros[i - 2])
-        for _ in range(100):
-            dz = _sequential_newton_step(N, z)
-            z += dz
-            if abs(dz) <= 1e-11 * z:
-                break
-        else:
-            raise NumericalError(
-                f"Laguerre root {i + 1}/{N} did not converge (last at x={z!r})"
-            )
-        z_ext = np.longdouble(z)
-        for _ in range(4):
-            dz_ext = _sequential_newton_step(N, z_ext)
-            z_ext += dz_ext
-            if abs(float(dz_ext)) <= 1e-17 * z:
-                break
-        z = float(z_ext)
-        if abs(float(_sequential_newton_step(N, np.longdouble(z)))) > 1e-13 * z:
-            raise NumericalError(f"Laguerre root {i + 1}/{N} fails residual check")
-        zeros[i] = z
-    if np.any(np.diff(zeros) <= 0.0):
-        raise NumericalError(f"Laguerre zeros for N={N} are not strictly increasing")
-    return zeros
 
 
 class TestLaguerreWeights:
