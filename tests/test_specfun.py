@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
     _newton_step,
     laguerre_weighted,
@@ -133,6 +134,15 @@ class TestLaguerreZeros:
         # recurrence limits the smallest roots
         assert _ulps_off_exact(n).max() <= (0 if n <= 100 else 8)
 
+    @pytest.mark.parametrize("n", _EXACT_SIZES)
+    def test_equals_sequential_recurrence(self, n):
+        # the root-by-root recurrence is an independent path to the same
+        # zeros: bit-equal up to N = 100; beyond, the two differ only on the
+        # smallest roots, where both are limited by longdouble rounding
+        ulps = np.abs(laguerre_zeros(n).view(np.int64) - _sequential_zeros(n).view(np.int64))
+        assert ulps.max() <= (0 if n <= 100 else 8)
+        assert not ulps[4:].any()
+
     def test_exact_zero_misses_in_total(self):
         assert sum(np.count_nonzero(_ulps_off_exact(n)) for n in _EXACT_SIZES) <= 11
 
@@ -158,7 +168,8 @@ class TestLaguerreZeros:
 
 
 # The scalar recurrence and Newton step, the reference for the array
-# ``_newton_step``.
+# ``_newton_step``, and the root-by-root iteration built on them: each root
+# guessed from the two before it, polished in double and then in longdouble.
 
 
 def _sequential_laguerre_pair(N: int, x):
@@ -175,6 +186,41 @@ def _sequential_laguerre_pair(N: int, x):
 def _sequential_newton_step(N: int, x):
     p, p_prev = _sequential_laguerre_pair(N, x)
     return -p * x / (N * (p - p_prev))
+
+
+def _sequential_zeros(N: int) -> np.ndarray:
+    zeros = np.empty(N)
+    z = 0.0
+    for i in range(N):
+        if i == 0:
+            z = 3.0 / (1.0 + 2.4 * N)
+        elif i == 1:
+            z += 15.0 / (1.0 + 2.5 * N)
+        else:
+            step = i - 1
+            z += ((1.0 + 2.55 * step) / (1.9 * step)) * (z - zeros[i - 2])
+        for _ in range(100):
+            dz = _sequential_newton_step(N, z)
+            z += dz
+            if abs(dz) <= 1e-11 * z:
+                break
+        else:
+            raise NumericalError(
+                f"Laguerre root {i + 1}/{N} did not converge (last at x={z!r})"
+            )
+        z_ext = np.longdouble(z)
+        for _ in range(4):
+            dz_ext = _sequential_newton_step(N, z_ext)
+            z_ext += dz_ext
+            if abs(float(dz_ext)) <= 1e-17 * z:
+                break
+        z = float(z_ext)
+        if abs(float(_sequential_newton_step(N, np.longdouble(z)))) > 1e-13 * z:
+            raise NumericalError(f"Laguerre root {i + 1}/{N} fails residual check")
+        zeros[i] = z
+    if np.any(np.diff(zeros) <= 0.0):
+        raise NumericalError(f"Laguerre zeros for N={N} are not strictly increasing")
+    return zeros
 
 
 class TestLaguerreWeights:
