@@ -129,21 +129,24 @@ def _raise_at_first_failure(kernel, momenta: np.ndarray, rows, cols) -> None:
 def solve_spectrum(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues (ascending) and orthonormal eigenvectors of a mesh H.
 
-    A non-finite entry is refused before the eigensolver sees it. Exact
+    A non-finite entry is refused before the eigensolver sees it, and a
+    non-finite eigenpair or a residual above 1e-11 * ||H|| after it. Exact
     degeneracies are ordered by the index of the largest-magnitude
     coefficient, so the output is reproducible.
     """
     if not np.all(np.isfinite(hamiltonian)):
         raise NumericalError("Hamiltonian contains non-finite entries")
     energies, vectors = eigh_refined(hamiltonian)
+    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(vectors))):
+        raise NumericalError("eigensolver returned non-finite eigenpairs")
     order = np.lexsort((np.argmax(np.abs(vectors), axis=0), energies))
     energies = energies[order]
     vectors = vectors[:, order]
     residual = np.abs(hamiltonian @ vectors - vectors * energies).max()
-    norm = np.abs(energies).max()  # ||H||_2 of a symmetric H, without an SVD
-    if norm > 0.0 and residual > 1e-11 * norm:
+    bound = 1e-11 * np.abs(energies).max()  # ||H||_2 of a symmetric H, without an SVD
+    if not residual <= bound:
         raise NumericalError(
-            f"eigensolver residual {residual:.3e} exceeds 1e-11 * ||H|| = {1e-11 * norm:.3e}"
+            f"eigensolver residual {residual:.3e} exceeds 1e-11 * ||H|| = {bound:.3e}"
         )
     return energies, vectors
 

@@ -133,6 +133,21 @@ class TestSpectrum:
         with pytest.raises(NumericalError, match="contains non-finite"):
             solve_spectrum(h)
 
+    @pytest.mark.parametrize("broken", ["energy", "vector"])
+    def test_non_finite_eigenpair_refused(self, monkeypatch, broken):
+        # a NaN residual compares False against any bound
+        def nan_eigensolver(a):
+            energies, vectors = np.linalg.eigh(a)
+            if broken == "energy":
+                energies[1] = np.nan
+            else:
+                vectors[0, 1] = np.nan
+            return energies, vectors
+
+        monkeypatch.setattr(solver_module, "eigh_refined", nan_eigensolver)
+        with pytest.raises(NumericalError, match="non-finite eigenpairs"):
+            solve_spectrum(np.diag([1.0, 2.0, 3.0]))
+
     def test_kinetic_infinite_at_a_node_is_numerical_failure(self):
         mesh = build_mesh(6, 0.7)
         p_bad = mesh.scale * mesh.nodes[3]
