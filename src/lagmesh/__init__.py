@@ -18,19 +18,13 @@ from .errors import ConfigurationError, NumericalError
 from .kinetics import CustomKinetic, NonrelativisticKinetic, SalpeterKinetic
 from .mesh import LaguerreMesh, build_mesh, lagrange_function
 from .observables import (
-    RadialOperatorCalculus,
     build_position_calculus,
     expval_momentum,
     expval_radial,
     wavefunction_momentum,
     wavefunction_position,
 )
-from .potentials import (
-    CustomPotential,
-    GaussianPotential,
-    PartialWaveKernel,
-    YukawaPotential,
-)
+from .potentials import CustomPotential, GaussianPotential, YukawaPotential
 from .solver import (
     BoundState,
     ProblemSpec,
@@ -52,9 +46,7 @@ __all__ = [
     "LaguerreMesh",
     "NonrelativisticKinetic",
     "NumericalError",
-    "PartialWaveKernel",
     "ProblemSpec",
-    "RadialOperatorCalculus",
     "SalpeterKinetic",
     "YukawaPotential",
     "assemble_hamiltonian",

@@ -109,18 +109,20 @@ class RunConfig:
         self.m2 = float(raw.get("problem.m2", 1.0))
         self.b = float(raw.get("problem.b", 1.0))
         self.l = int(raw.get("problem.l", 0))
-        self.g = float(raw["problem.g"]) if "problem.g" in raw else None
         self.a = float(raw["problem.a"]) if "problem.a" in raw else None
-        if self.a is None and self.g is not None:
+        if "problem.g" in raw:
+            for key in ("problem.a", "problem.b", "problem.m1", "problem.m2"):
+                if key in raw:
+                    raise ConfigurationError(
+                        f"problem.g fixes a = g, b = 1 and m1 = m2 = 1; it conflicts with {key}"
+                    )
             if self.kinetics != "nonrelativistic":
                 raise ConfigurationError(
                     "the dimensionless coupling problem.g assumes nonrelativistic "
                     "kinematics with m1 = m2 = 1; set problem.a instead"
                 )
             # dimensionless convention: b = 1, mu = 1/2, so a equals g
-            self.a = self.g
-            self.b = 1.0
-            self.m1 = self.m2 = 1.0
+            self.a = float(raw["problem.g"])
         self.size = int(raw["mesh.N"]) if "mesh.N" in raw else None
         self.size_r = int(raw["mesh.N_r"]) if "mesh.N_r" in raw else None
         self.scale = float(raw["mesh.h"]) if "mesh.h" in raw else None
@@ -239,8 +241,6 @@ def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
     for problem in problems:
         point = [str(problem.size), _fmt(problem.scale)]
         for st in solve(problem):
-            if not math.isfinite(st.energy):
-                raise NumericalError(f"non-finite energy at scan point {point!r}")
             rows.append(point + [str(st.n), str(st.l), _fmt(st.energy)])
     out = cfg.out or default_out
     write_csv(out, ["N", "h", "n", "l", "energy"], rows)

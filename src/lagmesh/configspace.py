@@ -13,13 +13,12 @@ times r. Semirelativistic kinematics is deliberately not supported here.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import LaguerreMesh, _node_values, build_mesh, lagrange_expansion, radial_form
-from .solver import BoundState, select_bound_states, solve_spectrum
+from .solver import BoundState, _solve_cached, select_bound_states
 
 __all__ = [
     "ConfigProblem",
@@ -62,20 +61,12 @@ def assemble_config_hamiltonian(problem: ConfigProblem) -> np.ndarray:
     return values + np.diag(_node_values(m, problem.potential.radial_value, "potential"))
 
 
-@lru_cache(maxsize=64)
-def _solve_config_cached(problem: ConfigProblem):
-    energies, vectors = solve_spectrum(assemble_config_hamiltonian(problem))
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return energies, vectors
-
-
 def solve_config(problem: ConfigProblem) -> list[BoundState]:
     """The labeled bound states (energy below zero), in ascending energy.
 
     Full spectra are cached per ConfigProblem.
     """
-    energies, vectors = _solve_config_cached(problem)
+    energies, vectors = _solve_cached(assemble_config_hamiltonian, problem)
     return select_bound_states(energies, vectors, (-math.inf, 0.0), problem.mesh(), problem.l)
 
 

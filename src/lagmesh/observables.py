@@ -4,26 +4,24 @@ Momentum-dependent operators are diagonal on the mesh, so their mean values
 collapse to sum_j C_j^2 U(h x_j). Radial operators go through the spectral
 calculus of the r^2 matrix: r^2 = -laplacian_p in momentum space, whose mesh
 representation P is the radial form of :mod:`lagmesh.mesh` divided by h^2,
-diagonalized once per (mesh, l); K(r) is then applied as K(sqrt(.)) on the
+diagonalized once per (N, l); K(r) is then applied as K(sqrt(.)/h) on the
 eigenvalues. The momentum wavefunction is the Lagrange expansion of
 :mod:`lagmesh.mesh` rescaled to momentum units; the position wavefunction
 is the mesh Fourier-Bessel sum. Both take a scalar or an array.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
 from .linalg import eigh_refined
-from .mesh import LaguerreMesh, _node_values, lagrange_expansion, radial_form
+from .mesh import _node_values, build_mesh, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
 from .specfun import spherical_bessel_j
 
 __all__ = [
-    "RadialOperatorCalculus",
     "build_position_calculus",
     "wavefunction_momentum",
     "wavefunction_position",
@@ -32,44 +30,30 @@ __all__ = [
     "mean_values",
 ]
 
-_CLAMP = 1e-9  # tolerated quadrature leakage of the r^2 spectrum below zero
-
-
-@dataclass(frozen=True, eq=False)
-class RadialOperatorCalculus:
-    """Spectral factorization of the r^2 representation on a momentum mesh.
-
-    ``radial_form(mesh, l) / h^2 = transform @ diag(eigenvalues) @
-    transform.T`` with an orthogonal transform; eigenvalues are clamped to
-    zero inside a 1e-9 window so that K(sqrt(.)) stays defined against
-    quadrature leakage.
-    """
-
-    eigenvalues: np.ndarray
-    transform: np.ndarray
-
-    def __post_init__(self):
-        for field in (self.eigenvalues, self.transform):
-            field.setflags(write=False)
+_CLAMP = 1e-9  # tolerated quadrature leakage of the dimensionless r^2 spectrum below zero
 
 
 @lru_cache(maxsize=32)
-def build_position_calculus(mesh: LaguerreMesh, l: int) -> RadialOperatorCalculus:
-    """Assemble and factorize P_ij = h^-2 (t_ij + l(l+1)/x_i^2 delta_ij).
+def build_position_calculus(size: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize t_ij + l(l+1)/x_i^2 delta_ij on the N-point mesh at scale 1.
 
-    The mesh scale h carries momentum units, so P carries length^2; its
-    spectrum must be nonnegative up to quadrature error. Factorizations are
-    cached per (mesh, l) and shared read-only.
+    Returns read-only ``(eigenvalues, transform)`` with
+    ``radial_form(mesh, l) = transform @ diag(eigenvalues) @ transform.T``.
+    On a mesh of scale h, r^2 is this form divided by h^2, so one
+    factorization per (N, l) serves every h and its radii are
+    sqrt(eigenvalues) / h. The spectrum must be nonnegative up to quadrature
+    error; eigenvalues inside a 1e-9 window below zero are clamped to zero.
     """
-    p = radial_form(mesh, l) / (mesh.scale * mesh.scale)
-    eigenvalues, transform = eigh_refined(p)
+    eigenvalues, transform = eigh_refined(radial_form(build_mesh(size, 1.0), l))
     if np.any(eigenvalues < -_CLAMP):
         raise NumericalError(
             f"r^2 spectrum dips to {eigenvalues.min():.3e}, below the -1e-9 "
-            f"quadrature-consistency bound (N={mesh.size}, l={l})"
+            f"quadrature-consistency bound (N={size}, l={l})"
         )
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
-    return RadialOperatorCalculus(eigenvalues=eigenvalues, transform=transform)
+    eigenvalues.setflags(write=False)
+    transform.setflags(write=False)
+    return eigenvalues, transform
 
 
 def wavefunction_momentum(state: BoundState, p):
@@ -112,20 +96,22 @@ def expval_momentum(state: BoundState, u) -> float:
     return float(np.dot(state.coefficients**2, values))
 
 
-def expval_radial(state: BoundState, calculus: RadialOperatorCalculus, k) -> float:
+def expval_radial(state: BoundState, k) -> float:
     """Mean value of a radial operator through the r^2 spectral calculus.
 
-    K is evaluated at the square roots of the r^2 eigenvalues and rotated
-    back: <K> = sum_m K(sqrt(lam_m)) (S^T C)_m^2, using S^-1 = S^T.
+    K is evaluated at the radii sqrt(lam_m) / h of the (N, l) factorization
+    and rotated back: <K> = sum_m K(sqrt(lam_m) / h) (S^T C)_m^2, using
+    S^-1 = S^T.
     """
-    diag = np.array([k(math.sqrt(lam)) for lam in calculus.eigenvalues], dtype=float)
+    eigenvalues, transform = build_position_calculus(state.mesh.size, state.l)
+    radii = np.sqrt(eigenvalues) / state.mesh.scale
+    diag = np.array([k(r) for r in radii.tolist()], dtype=float)
     if not np.all(np.isfinite(diag)):
         bad = int(np.flatnonzero(~np.isfinite(diag))[0])
         raise NumericalError(
-            f"radial observable not finite at spectral point "
-            f"r={math.sqrt(calculus.eigenvalues[bad])!r}"
+            f"radial observable not finite at spectral point r={float(radii[bad])!r}"
         )
-    projected = calculus.transform.T @ state.coefficients
+    projected = transform.T @ state.coefficients
     return float(np.dot(diag, projected * projected))
 
 
@@ -134,16 +120,15 @@ def mean_values(state: BoundState, problem: ProblemSpec) -> dict:
 
     ``energy``, ``kinetic_mean`` (<T>), ``p2_mean``, ``p4_mean``, ``r_mean``,
     ``potential_mean`` (<V>) and ``hamiltonian_mean`` = <T> + <V>. Momentum
-    operators are diagonal sums; r and V go through one r^2 calculus.
+    operators are diagonal sums; r and V go through the r^2 calculus.
     """
-    calculus = build_position_calculus(state.mesh, state.l)
     values = {
         "energy": state.energy,
         "kinetic_mean": expval_momentum(state, problem.kinetic.value),
         "p2_mean": expval_momentum(state, lambda p: p * p),
         "p4_mean": expval_momentum(state, lambda p: p**4),
-        "r_mean": expval_radial(state, calculus, lambda r: r),
-        "potential_mean": expval_radial(state, calculus, problem.potential.radial_value),
+        "r_mean": expval_radial(state, lambda r: r),
+        "potential_mean": expval_radial(state, problem.potential.radial_value),
     }
     values["hamiltonian_mean"] = values["kinetic_mean"] + values["potential_mean"]
     return values

@@ -22,7 +22,6 @@ from .errors import ConfigurationError, NumericalError
 from .specfun import _Q_MAX_DEGREE, _bessel_series, legendre_p, legendre_q
 
 __all__ = [
-    "PartialWaveKernel",
     "GaussianPotential",
     "YukawaPotential",
     "CustomPotential",
@@ -33,17 +32,9 @@ __all__ = [
     "partial_wave_numeric",
 ]
 
-
-@dataclass(frozen=True)
-class PartialWaveKernel:
-    """Symmetric kernel V_l(p, p') for one partial wave.
-
-    ``evaluate(p, q)`` takes arrays of momenta p and p' of one shape and
-    returns the kernel values as an array of that shape.
-    """
-
-    l: int
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+# V_l(p, p') of one partial wave: arrays of momenta p and p' of one shape in,
+# the kernel values as an array of that shape out
+Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def vft_gaussian(k: float, a: float, b: float) -> float:
@@ -113,12 +104,13 @@ def partial_wave_yukawa(l: int, p, q, a: float, b: float):
             "argument on its logarithmic singularity at p = p'"
         )
     p_arr, q_arr = _momenta(p, q)
-    # grouping keeps evaluate(p, q) == evaluate(q, p) bit for bit
+    # grouping keeps V_l(p, p') == V_l(p', p) bit for bit
     arg = (b * b + (p_arr * p_arr + q_arr * q_arr)) / (2.0 * (p_arr * q_arr))
     out = -a / (math.pi * (p_arr * q_arr)) * legendre_q(l, arg)
     return float(out) if out.ndim == 0 else out
 
 
+_REL_TOL = 1e-12  # agreement of successive quadrature orders, relative to the estimate
 # rounding floor of a Gauss-Legendre sum, relative to the same sum of |f|
 _ROUNDING_SCALE = 64.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -132,18 +124,12 @@ def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def partial_wave_numeric(
-    l: int,
-    p: float,
-    q: float,
-    v_ft: Callable[[float], float],
-    rel_tol: float = 1e-12,
-) -> float:
+def partial_wave_numeric(l: int, p: float, q: float, v_ft: Callable[[float], float]) -> float:
     """Legendre projection of an arbitrary V_FT by adaptive Gauss-Legendre.
 
     The quadrature order doubles from 32 until two successive estimates agree,
     which they do when their difference is
-      - within ``rel_tol`` times the estimate, or
+      - within ``_REL_TOL`` = 1e-12 times the estimate, or
       - within 64 eps times the same rule applied to |P_l(t) V_FT(k(t))|,
         i.e. 2 pi * 64 eps * integral |P_l V_FT| dt, the rounding scale of the
         sum, which is all that is left once P_l cancels the integral towards
@@ -162,7 +148,7 @@ def partial_wave_numeric(
         estimate = 2.0 * math.pi * float(np.dot(w, integrand))
         if previous is not None:
             rounding = 2.0 * math.pi * _ROUNDING_SCALE * float(np.dot(w, np.abs(integrand)))
-            if abs(estimate - previous) <= max(rel_tol * abs(estimate), rounding, _TINY):
+            if abs(estimate - previous) <= max(_REL_TOL * abs(estimate), rounding, _TINY):
                 return estimate
         previous = estimate
         order *= 2
@@ -185,14 +171,14 @@ class GaussianPotential:
     def radial_value(self, r: float) -> float:
         return -self.a * math.exp(-((self.b * r) ** 2))
 
-    def kernel(self, l: int) -> PartialWaveKernel:
+    def kernel(self, l: int) -> Kernel:
         if l > _GAUSS_MAX_DEGREE:
             raise ConfigurationError(
                 f"the Gaussian kernel is evaluated for l <= {_GAUSS_MAX_DEGREE} "
                 f"(to about 1e-14 of max|V|), got l = {l}"
             )
         a, b = self.a, self.b
-        return PartialWaveKernel(l, lambda p, q: partial_wave_gaussian(l, p, q, a, b))
+        return lambda p, q: partial_wave_gaussian(l, p, q, a, b)
 
 
 @dataclass(frozen=True)
@@ -209,13 +195,13 @@ class YukawaPotential:
     def radial_value(self, r: float) -> float:
         return -self.a * math.exp(-self.b * r) / r
 
-    def kernel(self, l: int) -> PartialWaveKernel:
+    def kernel(self, l: int) -> Kernel:
         if l > _Q_MAX_DEGREE:
             raise ConfigurationError(
                 f"the Yukawa kernel is implemented for l <= {_Q_MAX_DEGREE}, got l = {l}"
             )
         a, b = self.a, self.b
-        return PartialWaveKernel(l, lambda p, q: partial_wave_yukawa(l, p, q, a, b))
+        return lambda p, q: partial_wave_yukawa(l, p, q, a, b)
 
 
 @dataclass(frozen=True)
@@ -238,7 +224,7 @@ class CustomPotential:
             )
         return self.radial(r)
 
-    def kernel(self, l: int) -> PartialWaveKernel:
+    def kernel(self, l: int) -> Kernel:
         fourier = self.fourier
 
         def evaluate(p, q):
@@ -247,4 +233,4 @@ class CustomPotential:
             values = [partial_wave_numeric(l, pp, qq, fourier) for pp, qq in pairs]
             return np.array(values, dtype=float).reshape(p_arr.shape)
 
-        return PartialWaveKernel(l, evaluate)
+        return evaluate

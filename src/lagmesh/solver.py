@@ -83,7 +83,7 @@ def assemble_hamiltonian(problem: ProblemSpec) -> np.ndarray:
     momenta = h * x
     i, j = np.triu_indices(n)
     try:
-        v = kernel.evaluate(momenta[i], momenta[j])
+        v = kernel(momenta[i], momenta[j])
     except Exception as exc:
         _raise_at_first_failure(kernel, momenta, i, j)
         raise NumericalError(f"potential kernel failed on the mesh triangle: {exc}") from exc
@@ -114,7 +114,7 @@ def _raise_at_first_failure(kernel, momenta: np.ndarray, rows, cols) -> None:
     pair whose kernel call raises or gives a non-finite value."""
     for i, j in zip(rows, cols):
         try:
-            v = kernel.evaluate(momenta[i : i + 1], momenta[j : j + 1])
+            v = kernel(momenta[i : i + 1], momenta[j : j + 1])
         except Exception as exc:
             raise NumericalError(
                 f"potential kernel failed at {_site(momenta, i, j)}: {exc}"
@@ -182,9 +182,11 @@ def select_bound_states(
     return states
 
 
-@lru_cache(maxsize=64)
-def _solve_cached(problem: ProblemSpec):
-    spectrum, vectors = solve_spectrum(assemble_hamiltonian(problem))
+@lru_cache(maxsize=128)
+def _solve_cached(assemble, problem):
+    """The read-only full spectrum of ``assemble(problem)``, cached per
+    (assembler, problem) for the solvers of both spaces."""
+    spectrum, vectors = solve_spectrum(assemble(problem))
     spectrum.setflags(write=False)
     vectors.setflags(write=False)
     return spectrum, vectors
@@ -197,5 +199,5 @@ def solve(problem: ProblemSpec) -> list[BoundState]:
     evaluations on the same problem are free.
     """
     window = problem.kinetic.bound_window()  # a missing window fails before the solve
-    spectrum, vectors = _solve_cached(problem)
+    spectrum, vectors = _solve_cached(assemble_hamiltonian, problem)
     return select_bound_states(spectrum, vectors, window, problem.mesh(), problem.l)

@@ -19,7 +19,6 @@ from lagmesh import (
     SalpeterKinetic,
     YukawaPotential,
     build_mesh,
-    build_position_calculus,
     expval_kinetic_config,
     expval_momentum,
     expval_radial,
@@ -100,14 +99,13 @@ TABLE1_MOM = {
 def _table1_column(size):
     problem = gauss15(size=size)
     state = solve(problem)[0]
-    calc = build_position_calculus(state.mesh, 0)
     pot = GaussianPotential(15.0, 1.0)
     return {
         "energy": state.energy,
         "q2": expval_momentum(state, lambda p: p * p),
         "q4": expval_momentum(state, lambda p: p**4),
-        "x": expval_radial(state, calc, lambda r: r),
-        "U": expval_radial(state, calc, pot.radial_value),
+        "x": expval_radial(state, lambda r: r),
+        "U": expval_radial(state, pot.radial_value),
         "H": mean_values(state, problem)["hamiltonian_mean"],
     }
 
@@ -179,14 +177,13 @@ def test_criterion_3_table2_salpeter():
     for size, refs in TABLE2_MOM.items():
         problem = salpeter_gauss(size=size, scale=0.5)
         state = solve(problem)[0]
-        calc = build_position_calculus(state.mesh, 0)
         pot = GaussianPotential(3.0, 1.0)
         column = {
             "E": state.energy,
             "sqrt_p2_m2": expval_momentum(state, lambda p: math.sqrt(p * p + 1.0)),
             "p4": expval_momentum(state, lambda p: p**4),
-            "r": expval_radial(state, calc, lambda r: r),
-            "U": expval_radial(state, calc, pot.radial_value),
+            "r": expval_radial(state, lambda r: r),
+            "U": expval_radial(state, pot.radial_value),
             "H": mean_values(state, problem)["hamiltonian_mean"],
         }
         for key, printed in refs.items():
@@ -358,10 +355,9 @@ def test_criterion_7_property_suite():
     if abs(np.sum(state.coefficients**2) - 1.0) > 1e-12:
         failures.append("bound-state coefficients not normalized to 1e-12")
     # <1> through both observable routes
-    calc = build_position_calculus(state.mesh, 0)
     if abs(expval_momentum(state, lambda p: 1.0) - 1.0) > 1e-12:
         failures.append("momentum route <1> != 1")
-    if abs(expval_radial(state, calc, lambda r: 1.0) - 1.0) > 1e-12:
+    if abs(expval_radial(state, lambda r: 1.0) - 1.0) > 1e-12:
         failures.append("radial route <1> != 1")
     report("criterion 7: property suite", failures)
 

@@ -55,6 +55,15 @@ class TestConfigParsing:
         out = capsys.readouterr().out
         assert "N=20" in out and "-5.3775999078" in out
 
+    @pytest.mark.parametrize("key", ["problem.a", "problem.b", "problem.m1", "problem.m2"])
+    def test_coupling_conflicts_with_the_parameters_it_fixes(self, tmp_path, capsys, key):
+        # problem.g fixes a, b, m1 and m2; setting one of them as well is refused, not ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem.g = 15.0\n{key} = 3\nmesh.N = 20\nmesh.h = 0.5\nrun.task = solve\n")
+        assert run_cli(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+
     def test_unknown_task_in_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("run.task = frobnicate\n")

@@ -47,19 +47,28 @@ class TestSecondDerivativeMatrix:
 class TestPositionCalculus:
     def test_l0_is_scaled_second_derivative(self):
         mesh = build_mesh(10, 0.5)
-        calc = build_position_calculus(mesh, 0)
-        r2 = calc.transform @ np.diag(calc.eigenvalues) @ calc.transform.T
+        eigenvalues, transform = build_position_calculus(10, 0)
+        r2 = transform @ np.diag(eigenvalues / 0.25) @ transform.T
         assert r2 == pytest.approx(radial_form(mesh, 0) / 0.25, rel=1e-15)
 
     @pytest.mark.parametrize("size", [10, 20, 50])
     @pytest.mark.parametrize("l", [0, 1])
     def test_spectrum_nonnegative(self, size, l):
-        calc = build_position_calculus(build_mesh(size, 0.5), l)
-        assert np.all(calc.eigenvalues >= 0.0)
+        eigenvalues, _ = build_position_calculus(size, l)
+        assert np.all(eigenvalues >= 0.0)
+
+    def test_one_factorization_per_size_and_wave(self):
+        # the factorization is dimensionless, so meshes differing only in h share it
+        build_position_calculus.cache_clear()
+        for scale in (0.5, 0.7):
+            expval_radial(solve(gauss15(size=20, scale=scale))[0], lambda r: r)
+        assert build_position_calculus.cache_info().misses == 1
+        eigenvalues, transform = build_position_calculus(20, 0)
+        assert not (eigenvalues.flags.writeable or transform.flags.writeable)
 
     def test_transform_orthogonal(self):
-        calc = build_position_calculus(build_mesh(50, 0.5), 0)
-        gram = calc.transform @ calc.transform.T
+        _, transform = build_position_calculus(50, 0)
+        gram = transform @ transform.T
         assert np.max(np.abs(gram - np.eye(50))) <= 1e-11
 
 
@@ -87,26 +96,22 @@ class TestMomentumExpectations:
 
 class TestRadialExpectations:
     def test_unit_operator(self, gauss15_ground):
-        calc = build_position_calculus(gauss15_ground.mesh, 0)
-        assert expval_radial(gauss15_ground, calc, lambda r: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert expval_radial(gauss15_ground, lambda r: 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_radius_benchmark(self, gauss15_ground):
-        calc = build_position_calculus(gauss15_ground.mesh, 0)
-        assert expval_radial(gauss15_ground, calc, lambda r: r) == pytest.approx(
+        assert expval_radial(gauss15_ground, lambda r: r) == pytest.approx(
             0.7134620, abs=2e-7
         )
 
     def test_potential_mean_benchmark(self, gauss15_ground):
-        calc = build_position_calculus(gauss15_ground.mesh, 0)
         pot = GaussianPotential(15.0, 1.0)
-        assert expval_radial(gauss15_ground, calc, pot.radial_value) == pytest.approx(
+        assert expval_radial(gauss15_ground, pot.radial_value) == pytest.approx(
             -9.1182387832920, abs=1e-10
         )
 
     def test_function_calculus_composition(self, gauss15_ground):
         # K = r^2 through the factorization equals the direct quadratic form
-        calc = build_position_calculus(gauss15_ground.mesh, 0)
-        via_calculus = expval_radial(gauss15_ground, calc, lambda r: r * r)
+        via_calculus = expval_radial(gauss15_ground, lambda r: r * r)
         mesh = gauss15_ground.mesh
         r2 = radial_form(mesh, 0) / mesh.scale**2
         direct = float(gauss15_ground.coefficients @ r2 @ gauss15_ground.coefficients)
@@ -230,9 +235,8 @@ class TestWavefunctions:
         # h = 0.5 reproduces the printed benchmark column
         problem = salpeter_gauss(size=50, scale=0.5)
         state = solve(problem)[0]
-        calc = build_position_calculus(state.mesh, 0)
         assert expval_momentum(state, lambda p: math.sqrt(p * p + 1.0)) == pytest.approx(
             1.3553807, abs=2e-7
         )
         assert expval_momentum(state, lambda p: p**4) == pytest.approx(3.991570, abs=2e-6)
-        assert expval_radial(state, calc, lambda r: r) == pytest.approx(1.73376, abs=2e-5)
+        assert expval_radial(state, lambda r: r) == pytest.approx(1.73376, abs=2e-5)

@@ -208,7 +208,7 @@ class TestPotentialSpecs:
     def test_custom_kernel_goes_through_quadrature(self):
         custom = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0))
         kernel = custom.kernel(0)
-        assert kernel.evaluate(1.0, 1.0) == pytest.approx(
+        assert kernel(1.0, 1.0) == pytest.approx(
             gaussian_l0_closed_form(1.0, 1.0, 1.0, 1.0), rel=1e-10
         )
 
@@ -221,7 +221,8 @@ class TestPotentialSpecs:
         "potential, cap", [(GaussianPotential, 26), (YukawaPotential, 8)], ids=["gaussian", "yukawa"]
     )
     def test_degree_cap_is_a_configuration_error(self, potential, cap):
-        assert potential(10.0, 1.0).kernel(cap).l == cap
+        values = potential(10.0, 1.0).kernel(cap)(np.array([0.5, 2.0]), np.array([1.0, 3.0]))
+        assert values.shape == (2,) and np.all(np.isfinite(values)) and np.all(values < 0.0)
         with pytest.raises(ConfigurationError, match=f"l <= {cap}"):
             potential(10.0, 1.0).kernel(cap + 1)
 
@@ -232,11 +233,10 @@ class TestPotentialSpecs:
     def test_custom_kernel_keeps_the_array_shape(self):
         kernel = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0)).kernel(0)
         p = np.array([[0.5, 1.0], [2.0, 1.0]])
-        values = kernel.evaluate(p, p.T)
+        values = kernel(p, p.T)
         assert values.shape == (2, 2)
         assert values[0, 1] == values[1, 0]
 
     def test_kernel_symmetry_attribute(self):
         kernel = YukawaPotential(10.0, 1.0).kernel(1)
-        assert kernel.l == 1
-        assert kernel.evaluate(0.3, 2.0) == kernel.evaluate(2.0, 0.3)
+        assert kernel(0.3, 2.0) == kernel(2.0, 0.3)

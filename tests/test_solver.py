@@ -20,7 +20,7 @@ from lagmesh import (
 from lagmesh import solver as solver_module
 from lagmesh.errors import ConfigurationError, NumericalError
 from lagmesh.mesh import build_mesh
-from lagmesh.potentials import PartialWaveKernel, partial_wave_gaussian
+from lagmesh.potentials import partial_wave_gaussian
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestAssembly:
                     hit = (p == p_bad) & (q == q_bad)
                     return np.where(hit, np.nan, -1.0)
 
-                return PartialWaveKernel(l, evaluate)
+                return evaluate
 
         problem = ProblemSpec(DIMENSIONLESS, NanAtOnePair(), 0, 5, 0.7)
         with pytest.raises(NumericalError, match=r"\(i=2, j=4\)"):
@@ -96,7 +96,7 @@ class TestAssembly:
 
         class Stub:
             def kernel(self, l):
-                return PartialWaveKernel(l, breaks_on_the_third_row)
+                return breaks_on_the_third_row
 
         problem = ProblemSpec(DIMENSIONLESS, Stub(), 0, 5, 0.7)
         with pytest.raises(NumericalError, match=r"\(i=3, j=3\).*synthetic breakdown"):
