@@ -25,6 +25,28 @@ and the correction V C leaves errors of order eps^2*||A||.
 
 A is first scaled by the power of two that brings max|A| into [0.5, 1).
 The scaling is exact, and it keeps every split grid inside the double range.
+Its limit: an eigenvalue below about 2^-1022 max|A| is accurate only to
+eps ||A||, not relatively, because its products underflow after the scaling.
+
+A call makes 10 double GEMMs: in each of its two rounds, three for the split
+product and one each for V^T R and V C. The eigenvalues are the Rayleigh
+quotients of round 2, taken of the vectors after round 1. Their error is of
+order |C_2|^2 ||A||, with C_2 the correction of round 2 (at most 5.6e-17 at
+Yukawa N = 400), far below the floor of the split product, so the final
+vectors need no product of their own.
+
+Momentum-space eigenvectors of a Gaussian potential decay like a Gaussian,
+and their tails reach the subnormal range. A GEMM multiplies pairs of such tails, and every
+product that underflows takes the slow gradual-underflow path on x86. So the
+entries below theta = 2^-511 are zeroed in every GEMM factor: the tail A2 of
+the split, vh after LAPACK, vh and vl after each renormalization, R and C.
+A product of two survivors is at least 2^-1022, a normal double. With
+max|A| < 1 and unit columns, the flush moves a product by at most about
+N 2^-511. It applies only when every row of the scaled A reaches 2^-400:
+then |A||v_k| has an entry of at least 2^-400/sqrt(N), so each eigenpair's
+floor 2^-75 || |A||v_k| || is at least about 2^-480, far above what the
+flush moves. Otherwise, as for a strongly graded matrix, theta is 0 and
+nothing is flushed.
 """
 
 import numpy as np
@@ -34,6 +56,8 @@ from .errors import NumericalError
 __all__ = ["eigh_refined"]
 
 _DEGENERACY_GUARD = 1e-9  # relative gap below which vector mixing is skipped
+_FLUSH = 2.0**-511  # GEMM factors below this are zeroed: products of two stay normal
+_FLUSH_GUARD = -400  # the flush needs every row of the scaled A to reach 2^-400
 
 
 def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,20 +70,26 @@ def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairs closer than the degeneracy guard are not mixed. Each round squares
     the eigenpair error, so two rounds reach the floor of the split product
     from any LAPACK start. The returned eigenvalues are the Rayleigh quotients
-    of the refined vectors, rounded once to double; an eigenvalue beyond the
-    double range is a ``NumericalError``.
+    of round 2, rounded once to double; an eigenvalue beyond the double range
+    is a ``NumericalError``. GEMM factors below 2^-511 are zeroed when every
+    row of the scaled A reaches 2^-400 (see the module docstring).
     """
     a = np.asarray(a, dtype=float)  # the split grids assume 53-bit doubles
     _, vh = np.linalg.eigh(a)
     exponent = np.frexp(np.max(np.abs(a)))[1]
     a2 = np.ldexp(a, -exponent)
     bits = (53 - (len(a) - 1).bit_length()) // 2  # N 4^bits <= 2^53
-    a1 = _head(a2, _top(a2, axis=1), bits)
+    top = _top(a2, axis=1)
+    theta = _FLUSH if top.min() > _FLUSH_GUARD else 0.0  # max|row| >= 2^(top - 1)
+    a1 = _head(a2, top, bits)
     a2 -= a1
+    _flush(a2, theta)
+    _flush(vh, theta)
     vl = np.zeros_like(vh)
     for _ in range(2):
         v1, d_head, d_tail, residual = _rayleigh(a1, a2, vh, vl, bits)
         residual -= vh * d_tail
+        _flush(residual, theta)
         b = vh.T @ residual
         del residual
         gap = d_head[None, :] - d_head[:, None]
@@ -70,10 +100,12 @@ def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = np.zeros_like(b)
         np.divide(b, gap, out=c, where=safe)
         del b, gap
+        _flush(c, theta)
         vl += vh @ c
         del c
         vh, vl = _normalize(vh, vl, v1)
-    _, d_head, d_tail, _ = _rayleigh(a1, a2, vh, vl, bits)
+        _flush(vh, theta)
+        _flush(vl, theta)
     with np.errstate(over="ignore"):
         d = np.ldexp(d_head + d_tail, exponent)
     if not np.all(np.isfinite(d)):
@@ -85,6 +117,13 @@ def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _top(x: np.ndarray, axis: int) -> np.ndarray:
     """Smallest t with max|x| < 2^t along axis (0 for an all-zero line)."""
     return np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+
+
+def _flush(x: np.ndarray, theta: float) -> None:
+    """Zero the entries of x below theta in magnitude, in place."""
+    tiny = x < theta
+    tiny &= x > -theta
+    np.copyto(x, 0.0, where=tiny)
 
 
 def _head(x: np.ndarray, top, bits: int) -> np.ndarray:

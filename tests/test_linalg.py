@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import yukawa10
+from conftest import gauss15, yukawa10
 from lagmesh import ConfigProblem, YukawaPotential, assemble_hamiltonian
 from lagmesh.configspace import assemble_config_hamiltonian
 from lagmesh.errors import NumericalError
@@ -17,6 +17,11 @@ def _yukawa_hamiltonian(size=30):
     return assemble_hamiltonian(yukawa10(size=size, scale=0.8))
 
 
+def _gaussian_hamiltonian():
+    # LAPACK leaves 287 nonzero eigenvector entries below 2^-511, so they are flushed
+    return assemble_hamiltonian(gauss15(size=40, scale=2.0))
+
+
 def _r2_form(size=30):
     return radial_form(build_mesh(size, 0.8), 0) / 0.64
 
@@ -28,8 +33,8 @@ def _graded_config_hamiltonian():
 
 @pytest.mark.parametrize(
     "build",
-    [_yukawa_hamiltonian, _r2_form, _graded_config_hamiltonian],
-    ids=["yukawa_h", "r2", "config_l1"],
+    [_yukawa_hamiltonian, _gaussian_hamiltonian, _r2_form, _graded_config_hamiltonian],
+    ids=["yukawa_h", "gaussian_h", "r2", "config_l1"],
 )
 def test_matches_correctly_rounded_40_digit_spectrum(build):
     a = build()
@@ -54,8 +59,8 @@ def _spectrum_40_digits(a):
 
 @pytest.mark.parametrize(
     "build",
-    [_yukawa_hamiltonian, _r2_form, _graded_config_hamiltonian],
-    ids=["yukawa_h", "r2", "config_l1"],
+    [_yukawa_hamiltonian, _gaussian_hamiltonian, _r2_form, _graded_config_hamiltonian],
+    ids=["yukawa_h", "gaussian_h", "r2", "config_l1"],
 )
 def test_correctly_rounded_where_longdouble_is_double(build, monkeypatch):
     # MSVC and macOS-arm64 builds of NumPy have an 8-byte longdouble
@@ -135,6 +140,17 @@ def test_edge_matrices_agree_with_lapack(a):
     np.testing.assert_allclose(w, reference, rtol=0, atol=8 * np.spacing(norm))
     assert np.abs(v.T @ v - np.eye(len(a))).max() <= 8 * EPS
     assert np.abs(a @ v - v * w).max() <= 1e-11 * norm
+
+
+def test_graded_matrix_is_not_flushed():
+    # rows of order 1 against max|A| = 1e200: flushing the GEMM factors below
+    # 2^-511 without the row guard gives 0.1161 and 1.8839
+    a = np.diag([1e200, 1.0, 2.0])
+    a[0, 1] = a[1, 0] = 1e90
+    a[1, 2] = a[2, 1] = 0.5
+    w, _ = eigh_refined(a)
+    # correctly rounded, from a 700-digit mpmath solve
+    np.testing.assert_array_equal(w, [0.79289321881345248, 2.2071067811865475, 1e200])
 
 
 def test_eigenvalue_beyond_double_range_is_refused():
