@@ -7,16 +7,10 @@ coefficients alone. A configuration-space solver on the same mesh provides an
 independent cross-check for nonrelativistic problems.
 """
 
-from .configspace import (
-    ConfigProblem,
-    expval_kinetic_config,
-    expval_radial_config,
-    reduced_wavefunction,
-    solve_config,
-)
+from .configspace import ConfigProblem, reduced_wavefunction, solve_config
 from .errors import ConfigurationError, NumericalError
 from .kinetics import CustomKinetic, NonrelativisticKinetic, SalpeterKinetic
-from .mesh import LaguerreMesh, build_mesh, lagrange_function
+from .mesh import LaguerreMesh, build_mesh
 from .observables import (
     build_position_calculus,
     expval_momentum,
@@ -52,11 +46,8 @@ __all__ = [
     "assemble_hamiltonian",
     "build_mesh",
     "build_position_calculus",
-    "expval_kinetic_config",
     "expval_momentum",
     "expval_radial",
-    "expval_radial_config",
-    "lagrange_function",
     "reduced_wavefunction",
     "select_bound_states",
     "solve",

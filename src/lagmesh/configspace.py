@@ -24,8 +24,6 @@ __all__ = [
     "ConfigProblem",
     "assemble_config_hamiltonian",
     "solve_config",
-    "expval_radial_config",
-    "expval_kinetic_config",
     "mean_values",
     "reduced_wavefunction",
 ]
@@ -70,30 +68,23 @@ def solve_config(problem: ConfigProblem) -> list[BoundState]:
     return select_bound_states(energies, vectors, (-math.inf, 0.0), problem.mesh(), problem.l)
 
 
-def expval_radial_config(state: BoundState, k) -> float:
-    """Radial mean value, diagonal in configuration space: sum C_j^2 K(h x_j)."""
-    values = _node_values(state.mesh, k, "radial observable")
-    return float(np.dot(state.coefficients**2, values))
-
-
-def expval_kinetic_config(state: BoundState, problem: ConfigProblem) -> float:
-    """<q^2> through the radial form divided by h_r^2."""
-    m = state.mesh
-    form = radial_form(m, problem.l) / (m.scale * m.scale)
-    return float(state.coefficients @ form @ state.coefficients)
-
-
 def mean_values(state: BoundState, problem: ConfigProblem) -> dict:
     """The state's mean values by name, in a fixed order.
 
-    ``energy``, ``p2_mean``, ``r_mean``, ``potential_mean`` and
-    ``hamiltonian_mean`` = <p^2> / (2 mu) + <V>.
+    ``energy``; ``p2_mean``, <q^2> through the radial form divided by h_r^2;
+    ``r_mean`` and ``potential_mean``, diagonal in configuration space as
+    sum C_j^2 K(h x_j); and ``hamiltonian_mean`` = <p^2> / (2 mu) + <V>.
     """
+    m = state.mesh
+    c = state.coefficients
+    form = radial_form(m, problem.l) / (m.scale * m.scale)
     values = {
         "energy": state.energy,
-        "p2_mean": expval_kinetic_config(state, problem),
-        "r_mean": expval_radial_config(state, lambda r: r),
-        "potential_mean": expval_radial_config(state, problem.potential.radial_value),
+        "p2_mean": float(c @ form @ c),
+        "r_mean": float(np.dot(c**2, m.scale * m.nodes)),
+        "potential_mean": float(
+            np.dot(c**2, _node_values(m, problem.potential.radial_value, "radial observable"))
+        ),
     }
     values["hamiltonian_mean"] = (
         values["p2_mean"] / (2.0 * problem.mu) + values["potential_mean"]

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .specfun import _Q_MAX_DEGREE, _bessel_series, legendre_p, legendre_q
+from .specfun import MAX_DEGREE, _bessel_series, legendre_p, legendre_q
 
 __all__ = [
     "GaussianPotential",
@@ -56,9 +56,6 @@ def _momenta(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p_arr, q_arr
 
 
-_GAUSS_MAX_DEGREE = 26  # the series branch runs to y = l^2, and e^y overflows past 709 < 27^2
-
-
 def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     """Gaussian kernel V_l(p, p') = -a/(2 sqrt(pi) b^3) e^(-s) i_l(y), with
     y = p p'/2b^2, s = (p^2 + p'^2)/4b^2 and i_l the modified spherical
@@ -74,11 +71,11 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     N = 10..400, h = 0.1..2, b = 0.3..3 (the property test in
     tests/test_potentials.py), the worst |dV|/max|V| over the sampled pairs
     is 1.3e-15 for l <= 8, 2.3e-15 for l <= 18 and 9.4e-15 for l <= 26.
-    Past l = 26 the series' e^y overflows below the branch point, so other
-    degrees raise ``ValueError``.
+    Past l = 26 = ``specfun.MAX_DEGREE`` the series' e^y overflows below
+    the branch point (709 < 27^2), so other degrees raise ``ValueError``.
     """
-    if not 0 <= l <= _GAUSS_MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {_GAUSS_MAX_DEGREE}], got {l}")
+    if not 0 <= l <= MAX_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {l}")
     p_arr, q_arr = _momenta(p, q)
     y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
     damped = np.empty_like(y)  # e^(-y) i_l(y)
@@ -96,8 +93,17 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
 
 
 def partial_wave_yukawa(l: int, p, q, a: float, b: float):
-    """Yukawa kernel V_l(p, p') = -(a / pi p p') Q_l((b^2 + p^2 + p'^2)/(2 p p')),
-    scalar or elementwise on arrays p, p' of one shape."""
+    """Yukawa kernel V_l(p, p') = -(a / pi p p') Q_l(1 + d), for 0 <= l <= 26,
+    scalar or elementwise on arrays p, p' of one shape.
+
+    The offset d = x - 1 = (b^2 + (p - p')^2)/(2 p p') is formed without
+    cancellation, so the kernel keeps its accuracy on the diagonal at any
+    momentum, where x itself rounds to 1. Against 40-digit mpmath on random
+    pairs of meshes N = 10..400, h = 0.1..2, b = 0.3..3 (the property test
+    in tests/test_potentials.py, and three more draws like it), the worst
+    |dV|/max|V| over the sampled pairs is 4.1e-15 for l <= 8 and 2.7e-14
+    for l <= 26. Past l = 26 ``legendre_q`` raises ``ValueError``.
+    """
     if b <= 0.0:
         raise ConfigurationError(
             "Yukawa screening mass must be positive; b = 0 puts the Q_l "
@@ -105,8 +111,9 @@ def partial_wave_yukawa(l: int, p, q, a: float, b: float):
         )
     p_arr, q_arr = _momenta(p, q)
     # grouping keeps V_l(p, p') == V_l(p', p) bit for bit
-    arg = (b * b + (p_arr * p_arr + q_arr * q_arr)) / (2.0 * (p_arr * q_arr))
-    out = -a / (math.pi * (p_arr * q_arr)) * legendre_q(l, arg)
+    pq = p_arr * q_arr
+    offset = (b * b + (p_arr - q_arr) ** 2) / (2.0 * pq)
+    out = -a / (math.pi * pq) * legendre_q(l, offset)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,9 +179,9 @@ class GaussianPotential:
         return -self.a * math.exp(-((self.b * r) ** 2))
 
     def kernel(self, l: int) -> Kernel:
-        if l > _GAUSS_MAX_DEGREE:
+        if l > MAX_DEGREE:
             raise ConfigurationError(
-                f"the Gaussian kernel is evaluated for l <= {_GAUSS_MAX_DEGREE} "
+                f"the Gaussian kernel is evaluated for l <= {MAX_DEGREE} "
                 f"(to about 1e-14 of max|V|), got l = {l}"
             )
         a, b = self.a, self.b
@@ -196,9 +203,10 @@ class YukawaPotential:
         return -self.a * math.exp(-self.b * r) / r
 
     def kernel(self, l: int) -> Kernel:
-        if l > _Q_MAX_DEGREE:
+        if l > MAX_DEGREE:
             raise ConfigurationError(
-                f"the Yukawa kernel is implemented for l <= {_Q_MAX_DEGREE}, got l = {l}"
+                f"the Yukawa kernel is evaluated for l <= {MAX_DEGREE} "
+                f"(to about 3e-14 of max|V|), got l = {l}"
             )
         a, b = self.a, self.b
         return lambda p, q: partial_wave_yukawa(l, p, q, a, b)

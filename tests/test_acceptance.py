@@ -19,11 +19,8 @@ from lagmesh import (
     SalpeterKinetic,
     YukawaPotential,
     build_mesh,
-    expval_kinetic_config,
     expval_momentum,
     expval_radial,
-    expval_radial_config,
-    lagrange_function,
     reduced_wavefunction,
     solve,
     solve_config,
@@ -31,6 +28,8 @@ from lagmesh import (
     wavefunction_position,
 )
 from lagmesh.cli import main as cli_main
+from lagmesh.configspace import mean_values as config_mean_values
+from lagmesh.mesh import lagrange_function
 from lagmesh.observables import mean_values
 from lagmesh.potentials import (
     partial_wave_gaussian,
@@ -129,14 +128,10 @@ def test_criterion_2_table1_configuration():
     problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
     state = solve_config(problem)[0]
     check_cell(failures, "energy", state.energy, "-5.3775999070684", tol=1e-9)
-    check_cell(failures, "x", expval_radial_config(state, lambda r: r), "0.7134620")
-    check_cell(
-        failures,
-        "U",
-        expval_radial_config(state, problem.potential.radial_value),
-        "-9.1182387832920",
-    )
-    check_cell(failures, "q2", expval_kinetic_config(state, problem), "3.74063887622353")
+    values = config_mean_values(state, problem)
+    check_cell(failures, "x", values["r_mean"], "0.7134620")
+    check_cell(failures, "U", values["potential_mean"], "-9.1182387832920")
+    check_cell(failures, "q2", values["p2_mean"], "3.74063887622353")
     report("criterion 2: benchmark table 1, configuration-space cross-check", failures)
 
 

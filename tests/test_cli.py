@@ -85,7 +85,7 @@ class TestSolveTask:
         assert run_cli(["--task", "solve", "--potential", "gaussian", "--N", "10", "--h", "0.5"]) == 1
 
     @pytest.mark.parametrize(
-        "potential, l", [("gaussian", "27"), ("yukawa", "9")], ids=["gaussian", "yukawa"]
+        "potential, l", [("gaussian", "27"), ("yukawa", "27")], ids=["gaussian", "yukawa"]
     )
     def test_beyond_degree_cap_is_configuration_error(self, capsys, potential, l):
         code = run_cli(

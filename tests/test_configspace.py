@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import assert_ulp, gauss15
 from lagmesh import (
     ConfigProblem,
+    CustomPotential,
     GaussianPotential,
     YukawaPotential,
-    expval_kinetic_config,
-    expval_radial_config,
     reduced_wavefunction,
     solve,
     solve_config,
 )
+from lagmesh.configspace import mean_values
 from lagmesh.errors import ConfigurationError, NumericalError
 
 
@@ -27,17 +29,17 @@ class TestGaussianBenchmark:
         assert state.energy == pytest.approx(-5.3775999070684, abs=1e-9)
 
     def test_non_finite_radial_observable_rejected(self, gauss_conf):
-        _, state = gauss_conf
+        problem, state = gauss_conf
         with pytest.raises(NumericalError, match="mesh node 1 "):
-            expval_radial_config(state, lambda r: float("nan"))
+            mean_values(state, replace(problem, potential=CustomPotential(
+                fourier=lambda k: 0.0, radial=lambda r: float("nan"))))
 
     def test_observables(self, gauss_conf):
         problem, state = gauss_conf
-        assert_ulp(expval_radial_config(state, lambda r: r), "0.7134620")
-        assert_ulp(
-            expval_radial_config(state, problem.potential.radial_value), "-9.1182387832920"
-        )
-        assert_ulp(expval_kinetic_config(state, problem), "3.74063887622353")
+        values = mean_values(state, problem)
+        assert_ulp(values["r_mean"], "0.7134620")
+        assert_ulp(values["potential_mean"], "-9.1182387832920")
+        assert_ulp(values["p2_mean"], "3.74063887622353")
 
     def test_cross_space_eigenvalue_agreement(self, gauss_conf):
         _, conf_state = gauss_conf
@@ -62,9 +64,7 @@ class TestYukawaBenchmark:
         states = solve_config(problem)
         assert len(states) == 1
         assert_ulp(states[0].energy, "-0.205082327")
-        assert_ulp(
-            expval_radial_config(states[0], problem.potential.radial_value), "-2.913010896"
-        )
+        assert_ulp(mean_values(states[0], problem)["potential_mean"], "-2.913010896")
 
 
 class TestProblemValidation:

@@ -13,10 +13,8 @@ from lagmesh import (
     assemble_hamiltonian,
     build_mesh,
     build_position_calculus,
-    expval_kinetic_config,
     expval_momentum,
     expval_radial,
-    lagrange_function,
     reduced_wavefunction,
     solve,
     solve_config,
@@ -24,7 +22,8 @@ from lagmesh import (
     wavefunction_momentum,
     wavefunction_position,
 )
-from lagmesh.mesh import radial_form
+from lagmesh.configspace import mean_values as config_mean_values
+from lagmesh.mesh import lagrange_function, radial_form
 from lagmesh.observables import mean_values
 
 
@@ -227,7 +226,7 @@ class TestWavefunctions:
 
     def test_parseval_against_configuration_space(self, gauss15_ground):
         problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
-        conf_q2 = expval_kinetic_config(solve_config(problem)[0], problem)
+        conf_q2 = config_mean_values(solve_config(problem)[0], problem)["p2_mean"]
         mom_q2 = expval_momentum(gauss15_ground, lambda p: p * p)
         assert abs(mom_q2 - conf_q2) <= 1e-8
 

@@ -145,6 +145,59 @@ class TestYukawaKernel:
         with pytest.raises(ConfigurationError):
             partial_wave_yukawa(0, 1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("p", [1e8, 1e9])
+    def test_diagonal_at_large_momenta(self, p):
+        # x = 1 + b^2/2p^2 rounds to 1 here; the offset b^2/2p^2 does not
+        value = partial_wave_yukawa(0, p, p, 1.0, 1.0)
+        expected = -1.0 / (math.pi * p * p) * 0.5 * math.log1p(4.0 * p * p)
+        assert math.isfinite(value)
+        assert abs(value - expected) <= 1e-15 * abs(expected)
+
+    @staticmethod
+    def _reference(mp, l, p, q, a, b):
+        """-(a/pi p p') Q_l((b^2 + p^2 + p'^2)/(2 p p')) at 40 digits."""
+        with mp.workdps(40):
+            out = []
+            for pp, qq in zip(np.ravel(p).tolist(), np.ravel(q).tolist()):
+                pp, qq = mp.mpf(pp), mp.mpf(qq)
+                x = (mp.mpf(b) ** 2 + pp**2 + qq**2) / (2 * pp * qq)
+                out.append(float(-a / (mp.pi * pp * qq) * mp.re(mp.legenq(l, 0, x, type=3))))
+        return np.array(out)
+
+    def test_matches_40_digit_legendre_form(self):
+        # on random pairs of random meshes plus the last diagonal pair, for
+        # every degree up to the cap
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        for size in (10, 50, 200, 400):
+            for _ in range(2):
+                h, b = rng.uniform(0.1, 2.0), rng.uniform(0.3, 3.0)
+                mesh = build_mesh(size, h)
+                i = rng.integers(0, size, 8)
+                # half the pairs near the diagonal, where V is largest
+                near = np.clip(i[4:] + rng.integers(-2, 3, 4), 0, size - 1)
+                j = np.concatenate([rng.integers(0, size, 4), near])
+                i, j = np.append(i, size - 1), np.append(j, size - 1)
+                p, q = mesh.scale * mesh.nodes[i], mesh.scale * mesh.nodes[j]
+                for l in range(27):
+                    values = partial_wave_yukawa(l, p, q, 3.0, b)
+                    reference = self._reference(mp, l, p, q, 3.0, b)
+                    scale = np.max(np.abs(reference))
+                    assert scale > 0.0
+                    error = np.max(np.abs(values - reference))
+                    assert error <= 1e-13 * scale, f"N={size} h={h} b={b} l={l}"
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_last_diagonal_pair_of_a_large_mesh(self, l):
+        # N=400, h=0.8, pair (400, 400): p = 1247, where x - 1 = b^2/2p^2
+        # loses its leading digits if formed as x - 1
+        mp = pytest.importorskip("mpmath")
+        mesh = build_mesh(400, 0.8)
+        p = mesh.scale * mesh.nodes[-1]
+        value = partial_wave_yukawa(l, p, p, 10.0, 1.0)
+        reference = float(self._reference(mp, l, p, p, 10.0, 1.0)[0])
+        assert abs(value - reference) <= 1e-14 * abs(reference)
+
 
 class TestNumericKernel:
     @pytest.mark.parametrize("l", [1, 2, 3])
@@ -176,7 +229,7 @@ class TestNumericKernel:
 
 
 class TestKernelProperties:
-    @given(momenta, momenta, st.integers(0, 26), st.integers(0, 8))
+    @given(momenta, momenta, st.integers(0, 26), st.integers(0, 26))
     def test_symmetry_is_exact(self, p, q, l_gauss, l_yukawa):
         assert partial_wave_gaussian(l_gauss, p, q, 2.0, 1.5) == partial_wave_gaussian(
             l_gauss, q, p, 2.0, 1.5
@@ -218,7 +271,7 @@ class TestPotentialSpecs:
             custom.radial_value(1.0)
 
     @pytest.mark.parametrize(
-        "potential, cap", [(GaussianPotential, 26), (YukawaPotential, 8)], ids=["gaussian", "yukawa"]
+        "potential, cap", [(GaussianPotential, 26), (YukawaPotential, 26)], ids=["gaussian", "yukawa"]
     )
     def test_degree_cap_is_a_configuration_error(self, potential, cap):
         values = potential(10.0, 1.0).kernel(cap)(np.array([0.5, 2.0]), np.array([1.0, 3.0]))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
+    MAX_DEGREE,
     _newton_step,
     laguerre_weighted,
     laguerre_weights,
@@ -264,38 +265,58 @@ class TestLegendreP:
 
 
 class TestLegendreQ:
+    # legendre_q takes the offset d = x - 1
     def test_closed_forms_at_two(self):
-        assert legendre_q(0, 2.0) == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
-        assert legendre_q(1, 2.0) == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
-        assert legendre_q(2, 2.0) == pytest.approx(5.5 * 0.5 * math.log(3.0) - 3.0, rel=1e-12)
+        assert legendre_q(0, 1.0) == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
+        assert legendre_q(1, 1.0) == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
+        assert legendre_q(2, 1.0) == pytest.approx(5.5 * 0.5 * math.log(3.0) - 3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("l", range(MAX_DEGREE + 1))
     @pytest.mark.parametrize("x", [1.1, 1.5, 2.0, 10.0])
     def test_against_integral_oracle(self, l, x):
-        # Q_l(x) = 1/2 int_{-1}^{1} P_l(t)/(x - t) dt, Gauss-Legendre + fsum
+        # Q_l(x) = 1/2 int_{-1}^{1} P_l(t)/(x - t) dt, Gauss-Legendre + fsum;
+        # x - 1 is exact for these x
         t, w = np.polynomial.legendre.leggauss(400)
-        direct = 0.5 * math.fsum(wi * legendre_p(l, ti) / (x - ti) for wi, ti in zip(w, t))
-        mine = legendre_q(l, x)
+        direct = 0.5 * math.fsum(w * legendre_p(l, t) / (x - t))
+        mine = legendre_q(l, x - 1.0)
         assert abs(mine - direct) <= 1e-9 * max(1.0, abs(direct))
 
-    @pytest.mark.parametrize("l", range(9))
+    @pytest.mark.parametrize("l", range(MAX_DEGREE + 1))
+    def test_against_40_digit_legenq(self, l):
+        # relative accuracy where the quadrature oracle is too coarse: at the
+        # singularity, and past x = 2 where Q_l falls like x^-(l+1)
+        mp = pytest.importorskip("mpmath")
+        d = np.array([1e-12, 1e-6, 1e-3, 0.05, 0.1, 0.5, 1.0, 9.0, 1e3])
+        values = legendre_q(l, d)
+        with mp.workdps(40):
+            reference = np.array(
+                [float(mp.re(mp.legenq(l, 0, 1 + mp.mpf(dd), type=3))) for dd in d.tolist()]
+            )
+        assert np.all(np.abs(values - reference) <= 1e-13 * np.abs(reference))
+
+    @pytest.mark.parametrize("l", range(MAX_DEGREE + 1))
     def test_array_call_equals_scalar_calls(self, l):
-        # both branches (x < 1.2 closed form, x >= 1.2 series), interleaved so
-        # that neighbouring elements stop their series at different terms
-        x = np.array([1.0001, 50.0, 1.19, 1.2, 3.0, 1.05, 1e4, 1.1999999, 1.7])
-        values = legendre_q(l, x)
-        assert values.tolist() == [legendre_q(l, float(v)) for v in x]
-        assert legendre_q(l, x.reshape(3, 3)).tolist() == values.reshape(3, 3).tolist()
+        # both sides of the forward/downward switch at l ln rho = 1 (none for
+        # l = 0), interleaved so that neighbouring elements start their
+        # downward recurrences at different degrees
+        switch = math.cosh(1.0 / max(l, 1)) - 1.0
+        d = np.array([1e-9, 50.0, switch * (1.0 - 1e-12), switch, 2.0, 0.05 * switch,
+                      1e4, switch * (1.0 + 1e-12), 1.7 * switch, 0.7, 1e-3, 3.0 * switch])
+        if l:
+            assert (d <= switch).sum() >= 4 and (d > switch).sum() >= 4
+        values = legendre_q(l, d)
+        assert values.tolist() == [legendre_q(l, float(v)) for v in d]
+        assert legendre_q(l, d.reshape(3, 4)).tolist() == values.reshape(3, 4).tolist()
         with pytest.raises(ValueError):
-            legendre_q(l, np.append(x, 1.0))
+            legendre_q(l, np.append(d, 0.0))
 
     def test_domain_and_degree_errors(self):
         with pytest.raises(ValueError):
-            legendre_q(0, 1.0)
+            legendre_q(0, 0.0)
         with pytest.raises(ValueError):
-            legendre_q(0, 0.5)
+            legendre_q(0, -0.5)
         with pytest.raises(ValueError):
-            legendre_q(9, 2.0)
+            legendre_q(MAX_DEGREE + 1, 1.0)
 
 
 class TestSphericalBessel:
