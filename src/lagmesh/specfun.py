@@ -12,7 +12,6 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "MAX_DEGREE",
     "laguerre_weighted",
     "laguerre_zeros",
     "laguerre_weights",
@@ -189,8 +188,7 @@ def legendre_q(l: int, d):
     if l > 0:
         up = ds <= 2.0 * math.sinh(0.5 / l) ** 2  # l ln rho <= 1
         out[up] = _q_forward(l, ds[up], out[up])
-        down = np.flatnonzero(~up)
-        out[down] *= _q_ratio_product(l, ds[down])
+        out[~up] *= _q_ratio_product(l, ds[~up])
     return float(out[0]) if d_arr.ndim == 0 else out.reshape(d_arr.shape)
 
 
@@ -202,29 +200,23 @@ def _q_forward(l: int, d: np.ndarray, q0: np.ndarray) -> np.ndarray:
 
 
 def _q_ratio_product(l: int, d: np.ndarray) -> np.ndarray:
-    """r_1 ... r_l = Q_l/Q_0, each element from its own start degree K.
+    """r_1 ... r_l = Q_l/Q_0, each element recurring from its own start degree K.
 
-    Sorted by descending K, the elements still recurring at degree k are a
-    prefix of the array, so an element costs K steps whatever its neighbours.
+    The loop runs from the largest K down; an element's ratio is updated only
+    from its own K on, so an array call equals the scalar calls bit for bit.
     """
     if not d.size:
         return d
     rho_m1 = d + np.sqrt(d * (2.0 + d))
-    # K <= 19 l fits int16, whose stable argsort is a radix sort
-    start = l + np.ceil(_Q_START / np.log1p(rho_m1)).astype(np.int16)
-    order = np.argsort(-start, kind="stable")
-    start, d = start[order], d[order]
-    r = 1.0 / (1.0 + rho_m1[order])
-    live = np.searchsorted(-start, -np.arange(int(start[0]) + 1), side="right")
+    start = l + np.ceil(_Q_START / np.log1p(rho_m1))
+    r = 1.0 / (1.0 + rho_m1)
     product = np.ones_like(d)
-    for k in range(int(start[0]), 0, -1):
-        m = live[k]
-        r[:m] = k / ((2 * k + 1) * d[:m] + ((2 * k + 1) - (k + 1) * r[:m]))
+    for k in range(int(start.max()), 0, -1):
+        live = start >= k
+        r[live] = k / ((2 * k + 1) * d[live] + ((2 * k + 1) - (k + 1) * r[live]))
         if k <= l:
             product *= r
-    out = np.empty_like(product)
-    out[order] = product
-    return out
+    return product
 
 
 def spherical_bessel_j(l: int, x):
