@@ -103,6 +103,10 @@ def partial_wave_yukawa(l: int, p, q, a: float, b: float):
     in tests/test_potentials.py, and three more draws like it), the worst
     |dV|/max|V| over the sampled pairs is 4.1e-15 for l <= 8 and 2.7e-14
     for l <= 26. Past l = 26 ``legendre_q`` raises ``ValueError``.
+
+    Where d > 2^500, p p' = 0 and underflow included, the kernel is its
+    p p' -> 0 limit: -2a/(pi (b^2 + p^2 + p'^2)) for l = 0, which it equals
+    there to rounding, and 0 for l >= 1, below 2^-500 |V_0|.
     """
     if b <= 0.0:
         raise ConfigurationError(
@@ -112,9 +116,20 @@ def partial_wave_yukawa(l: int, p, q, a: float, b: float):
     p_arr, q_arr = _momenta(p, q)
     # grouping keeps V_l(p, p') == V_l(p', p) bit for bit
     pq = p_arr * q_arr
-    offset = (b * b + (p_arr - q_arr) ** 2) / (2.0 * pq)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        offset = (b * b + (p_arr - q_arr) ** 2) / (2.0 * pq)
+    far = ~(offset <= _FAR_OFFSET)
+    any_far = far.any()
+    if any_far:
+        pq, offset = np.where(far, 1.0, pq), np.where(far, 1.0, offset)
     out = -a / (math.pi * pq) * legendre_q(l, offset)
+    if any_far:
+        limit = -2.0 * a / (math.pi * (b * b + (p_arr * p_arr + q_arr * q_arr))) if l == 0 else 0.0
+        out = np.where(far, limit, out)
     return float(out) if out.ndim == 0 else out
+
+
+_FAR_OFFSET = 2.0**500  # beyond it the Yukawa kernel is its p p' -> 0 limit
 
 
 _REL_TOL = 1e-12  # agreement of successive quadrature orders, relative to the estimate

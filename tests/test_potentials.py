@@ -145,6 +145,28 @@ class TestYukawaKernel:
         with pytest.raises(ConfigurationError):
             partial_wave_yukawa(0, 1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("b", [1.0, 1.5])
+    def test_zero_momentum_is_the_limit(self, b):
+        # Q_0(x) -> 1/x as p p' -> 0, so V_0 -> -2a/(pi (b^2 + p^2 + p'^2));
+        # Q_l(x) falls like x^-(l+1), so V_l -> 0 for l > 0
+        limit = -4.0 / (math.pi * (b * b + 1.3 * 1.3))
+        for p, q in ((0.0, 1.3), (1.3, 0.0)):
+            assert partial_wave_yukawa(0, p, q, 2.0, b) == pytest.approx(limit, rel=1e-15)
+            assert partial_wave_yukawa(2, p, q, 2.0, b) == 0.0
+        # at p = p' = 0 and where p p' underflows
+        for p in (0.0, 1e-300, 1e-160):
+            assert partial_wave_yukawa(0, p, p, 2.0, b) == pytest.approx(
+                -4.0 / (math.pi * b * b), rel=1e-15
+            )
+            assert partial_wave_yukawa(1, p, p, 2.0, b) == 0.0
+        # the closed form near the origin agrees with the limit
+        assert partial_wave_yukawa(0, 1e-8, 1.3, 2.0, b) == pytest.approx(limit, rel=1e-15)
+        assert abs(partial_wave_yukawa(1, 1e-8, 1.3, 2.0, b)) <= 1e-8 * abs(limit)
+        p, q = np.array([0.0, 1e-8, 1.3, 1e-300]), np.array([1.3, 1.3, 0.0, 1e-300])
+        assert partial_wave_yukawa(0, p, q, 2.0, b).tolist() == [
+            partial_wave_yukawa(0, float(x), float(y), 2.0, b) for x, y in zip(p, q)
+        ]
+
     @pytest.mark.parametrize("p", [1e8, 1e9])
     def test_diagonal_at_large_momenta(self, p):
         # x = 1 + b^2/2p^2 rounds to 1 here; the offset b^2/2p^2 does not

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
     MAX_DEGREE,
+    _dd_newton_step,
     _newton_step,
     laguerre_weighted,
     laguerre_weights,
@@ -131,21 +132,26 @@ class TestLaguerreZeros:
 
     @pytest.mark.parametrize("n", _EXACT_SIZES)
     def test_against_exact_zeros(self, n):
-        # correctly rounded up to N = 100; beyond, rounding in the longdouble
-        # recurrence limits the smallest roots
-        assert _ulps_off_exact(n).max() <= (0 if n <= 100 else 8)
+        # every zero is the double nearest the exact one
+        assert not _ulps_off_exact(n).any()
 
     @pytest.mark.parametrize("n", _EXACT_SIZES)
     def test_equals_sequential_recurrence(self, n):
-        # the root-by-root recurrence is an independent path to the same
-        # zeros: bit-equal up to N = 100; beyond, the two differ only on the
-        # smallest roots, where both are limited by longdouble rounding
-        ulps = np.abs(laguerre_zeros(n).view(np.int64) - _sequential_zeros(n).view(np.int64))
-        assert ulps.max() <= (0 if n <= 100 else 8)
-        assert not ulps[4:].any()
+        # the root-by-root recurrence is an independent path to the same zeros
+        assert np.array_equal(laguerre_zeros(n), _sequential_zeros(n))
 
     def test_exact_zero_misses_in_total(self):
-        assert sum(np.count_nonzero(_ulps_off_exact(n)) for n in _EXACT_SIZES) <= 11
+        assert sum(np.count_nonzero(_ulps_off_exact(n)) for n in _EXACT_SIZES) == 0
+
+    @pytest.mark.parametrize("n", [50, 200, 400])
+    def test_bit_identical_where_longdouble_is_double(self, n, monkeypatch):
+        # MSVC and macOS-arm64 builds of NumPy have an 8-byte longdouble
+        zeros = laguerre_zeros(n)
+        weights = laguerre_weights(zeros)
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        patched = laguerre_zeros(n)
+        np.testing.assert_array_equal(patched, zeros)
+        np.testing.assert_array_equal(laguerre_weights(patched), weights)
 
     def test_exact_reference_closed_forms(self):
         assert _exact_zeros(1) == (1,)
@@ -167,10 +173,19 @@ class TestLaguerreZeros:
         assert np.all(np.isfinite(expected))
         assert np.array_equal(steps, expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
+    def test_dd_newton_step_array_equals_scalar_steps(self, n):
+        # each element rescales its double-double pairs on its own
+        x = np.array([1e-3, 0.5, 3.0, 40.0, 700.0, 1400.0, 1990.0, 2100.0])
+        steps = _dd_newton_step(n, x)
+        assert np.all(np.isfinite(steps))
+        assert steps.tolist() == [_dd_newton_step(n, x[i : i + 1])[0] for i in range(x.size)]
+
 
 # The scalar recurrence and Newton step, the reference for the array
 # ``_newton_step``, and the root-by-root iteration built on them: each root
-# guessed from the two before it, polished in double and then in longdouble.
+# guessed from the two before it and polished in double, then every root
+# corrected once by the package's double-double Newton step.
 
 
 def _sequential_laguerre_pair(N: int, x):
@@ -209,16 +224,11 @@ def _sequential_zeros(N: int) -> np.ndarray:
             raise NumericalError(
                 f"Laguerre root {i + 1}/{N} did not converge (last at x={z!r})"
             )
-        z_ext = np.longdouble(z)
-        for _ in range(4):
-            dz_ext = _sequential_newton_step(N, z_ext)
-            z_ext += dz_ext
-            if abs(float(dz_ext)) <= 1e-17 * z:
-                break
-        z = float(z_ext)
-        if abs(float(_sequential_newton_step(N, np.longdouble(z)))) > 1e-13 * z:
-            raise NumericalError(f"Laguerre root {i + 1}/{N} fails residual check")
         zeros[i] = z
+    dz = _dd_newton_step(N, zeros)
+    if not np.all(np.abs(dz) <= 1e-11 * zeros):
+        raise NumericalError(f"Laguerre zeros for N={N} fail the double-double correction")
+    zeros += dz
     if np.any(np.diff(zeros) <= 0.0):
         raise NumericalError(f"Laguerre zeros for N={N} are not strictly increasing")
     return zeros
@@ -251,6 +261,23 @@ class TestLaguerreWeights:
         for m in range(2 * n):
             total = np.exp(log_w + m * log_x - zeros - math.lgamma(m + 1)).sum()
             assert total == pytest.approx(1.0, rel=1e-11), f"monomial degree {m}"
+
+    @pytest.mark.parametrize("n", [200, 512])
+    def test_against_40_digit_weights_at_exact_zeros(self, n):
+        # e^x_i (N!)^2 / (x_i prod_{j != i} (x_i - x_j)^2) at twelve roots
+        # spread from the first to the last
+        mp = pytest.importorskip("mpmath")
+        exact = _exact_zeros(n)
+        roots = np.linspace(0, n - 1, 12).round().astype(int)
+        weights = laguerre_weights(np.array([float(zero) for zero in exact]))[roots]
+        with mp.workdps(40):
+            x = [mp.mpf(zero.numerator) / zero.denominator for zero in exact]
+            square_factorial = mp.factorial(n) ** 2
+            reference = []
+            for i in roots.tolist():
+                product = mp.fprod(x[i] - x[j] for j in range(n) if j != i)
+                reference.append(float(mp.exp(x[i]) * square_factorial / (x[i] * product**2)))
+        assert np.all(np.abs(weights - reference) <= 5e-14 * np.array(reference))
 
 
 class TestLegendreP:
