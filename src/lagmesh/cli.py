@@ -10,9 +10,12 @@ for identical configuration.
 
 import argparse
 import math
+import os
 import sys
+import threading
 from datetime import datetime, timezone
 
+from . import linalg
 from .configspace import ConfigProblem, solve_config
 from .configspace import mean_values as config_mean_values
 from .errors import ConfigurationError, NumericalError
@@ -234,17 +237,77 @@ def run_observables(cfg: RunConfig) -> None:
 
 
 def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
-    """Solve each problem in grid order and write one row per bound state."""
-    for problem in problems:  # build, and so check, every mesh before the first solve
-        problem.mesh()
+    """Solve each problem and write one row per bound state, in grid order.
+
+    Where the BLAS thread count can be set and more than one CPU is usable,
+    the BLAS runs one thread, and the points are shared among that many
+    solving threads; otherwise they are solved one after another.
+    """
+    threads = min(len(problems), _usable_cpus())
+    if threads > 1 and linalg._blas_thread_calls() is not None:
+        # entered before the meshes: OpenBLAS's idle workers keep spinning
+        # for a while after a multi-threaded call
+        with linalg._one_blas_thread():
+            solutions = _solve_points(problems, threads)
+    else:
+        solutions = _solve_points(problems, 1)
     rows = []
-    for problem in problems:
+    for problem, states in zip(problems, solutions):
         point = [str(problem.size), _fmt(problem.scale)]
-        for st in solve(problem):
+        for st in states:
             rows.append(point + [str(st.n), str(st.l), _fmt(st.energy)])
     out = cfg.out or default_out
     write_csv(out, ["N", "h", "n", "l", "energy"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_points(problems: list, threads: int) -> list:
+    """The bound states of each problem, solved on the calling thread and
+    ``threads - 1`` workers, each taking the next unsolved point.
+
+    A failure stops the taking of further points and, once the points in
+    hand are done, raises the failure of the first failing point in grid
+    order: the one a serial loop would raise.
+    """
+    for problem in problems:  # build, and so check, every mesh before the first solve
+        problem.mesh()
+    if threads == 1:
+        return [solve(problem) for problem in problems]
+    solutions = [None] * len(problems)
+    failures = {}
+    points = iter(range(len(problems)))
+    lock = threading.Lock()
+
+    def work():
+        while not failures:
+            with lock:
+                k = next(points, None)
+            if k is None:
+                return
+            try:
+                solutions[k] = solve(problems[k])
+            except Exception as exc:  # reraised on the calling thread
+                failures[k] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        points = iter(())  # after an interrupt, the workers take no further point
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise failures[min(failures)]
+    return solutions
 
 
 def run_scan_h(cfg: RunConfig) -> None:

@@ -47,7 +47,15 @@ then |A||v_k| has an entry of at least 2^-400/sqrt(N), so each eigenpair's
 floor 2^-75 || |A||v_k| || is at least about 2^-480, far above what the
 flush moves. Otherwise, as for a strongly graded matrix, theta is 0 and
 nothing is flushed.
+
+At N = 200 a second BLAS thread gains nothing, so a caller solving several
+matrices at once can hold OpenBLAS at one thread per solving thread with
+``_one_blas_thread``.
 """
+
+import ctypes
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +66,12 @@ __all__ = ["eigh_refined"]
 _DEGENERACY_GUARD = 1e-9  # relative gap below which vector mixing is skipped
 _FLUSH = 2.0**-511  # GEMM factors below this are zeroed: products of two stay normal
 _FLUSH_GUARD = -400  # the flush needs every row of the scaled A to reach 2^-400
+# (setter, getter) of the OpenBLAS thread count: the suffixed names of the
+# scipy-openblas wheels NumPy ships, and the plain names of a system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +159,14 @@ def _rayleigh(a1, a2, vh, vl, bits):
     Returns the head v1 of vh, d as the unevaluated sum d_head + d_tail, and
     the residual at d_head (not yet at d).
     """
+    norm2 = np.sum(vh * vh, axis=0)
     v1 = _head(vh, _top(vh, axis=0), bits)
     t = vh - v1
     t += vl
+    p1 = a2 @ vh
     p2 = a1 @ t
-    p2 += a2 @ vh
-    p1 = a1 @ v1  # exact: bits + bits + log2(N) <= 53
-    norm2 = np.sum(vh * vh, axis=0)
+    p2 += p1
+    np.matmul(a1, v1, out=p1)  # exact: bits + bits + log2(N) <= 53
     np.add(p1, p2, out=t)
     t *= vh
     d_head = np.sum(t, axis=0) / norm2
@@ -199,3 +214,40 @@ def _two_sum(a, b):
     np.subtract(a, z, out=z)
     b += z
     return s, b
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """(set, get) of the thread count of the OpenBLAS NumPy links, or None.
+
+    The symbols are looked up through NumPy's ``_multiarray_umath``
+    extension, which links the BLAS; another BLAS, or none found, gives None.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for setter, getter in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, setter) and hasattr(lib, getter):
+            return getattr(lib, setter), getattr(lib, getter)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with the BLAS at one thread, then restore its count.
+
+    The count is restored on error too. Needs a settable BLAS:
+    ``_blas_thread_calls()`` not None.
+    """
+    set_threads, get_threads = _blas_thread_calls()
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)

@@ -221,6 +221,7 @@ def legendre_p(l: int, t):
 
 MAX_DEGREE = 26  # highest l of legendre_q and of the analytic partial-wave kernels
 _Q_START = 18.0  # downward start degree l + ceil(18 / ln rho): rho^(-2(K - l)) <= e^(-36)
+_ROOT_SPLIT = 2.0**500  # above this offset, sqrt(d (2 + d)) is taken as two roots
 
 
 def legendre_q(l: int, d):
@@ -272,7 +273,10 @@ def _q_ratio_product(l: int, d: np.ndarray) -> np.ndarray:
     """
     if not d.size:
         return d
-    rho_m1 = d + np.sqrt(d * (2.0 + d))
+    big = d > _ROOT_SPLIT
+    root = np.sqrt(np.where(big, 1.0, d) * (2.0 + d))
+    root[big] *= np.sqrt(d[big])  # sqrt(d) sqrt(2 + d): d (2 + d) overflows past 1.3e154
+    rho_m1 = d + root
     start = l + np.ceil(_Q_START / np.log1p(rho_m1))
     r = 1.0 / (1.0 + rho_m1)
     product = np.ones_like(d)

@@ -1,10 +1,16 @@
 import math
+import sys
+import threading
+import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
 from lagmesh import GaussianPotential, NonrelativisticKinetic, ProblemSpec, YukawaPotential, cli, solve
+from lagmesh import linalg
 from lagmesh import solver as solver_module
+from lagmesh.mesh import build_mesh
 from lagmesh.observables import mean_values
 
 
@@ -23,6 +29,29 @@ _SCAN_GRIDS = {
     "scan-h": ("mesh.N = 40\nscan.h = 0.5,0.7,0.9,1.1,1.3\n", [(40, h) for h in (0.5, 0.7, 0.9, 1.1, 1.3)]),
     "scan-n": ("mesh.h = 0.8\nscan.N = 20,30,40\n", [(n, 0.8) for n in (20, 30, 40)]),
 }
+
+
+class FakeBlas:
+    """A settable BLAS thread count in place of the OpenBLAS lookup."""
+
+    def __init__(self, count=4):
+        self.count = count
+        self.counts_set = []
+
+    def calls(self):
+        return self.set, self.get
+
+    def set(self, count):
+        self.counts_set.append(count)
+        self.count = count
+
+    def get(self):
+        return self.count
+
+
+def _blas_threads():
+    calls = linalg._blas_thread_calls()
+    return None if calls is None else calls[1]()
 
 
 class TestConfigParsing:
@@ -229,6 +258,140 @@ class TestScanTasks:
         assert run_cli(["--config", str(cfg)]) == 1
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_later_failing_point_is_reported_in_grid_order(self, tmp_path, capsys, monkeypatch):
+        # both later points overflow h^3; the first of them is reported, as
+        # the serial loop reports it, and no CSV is written
+        cfg = tmp_path / "scan.cfg"
+        out = tmp_path / "scan.csv"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 20\n"
+            f"run.task = scan-h\nscan.h = 0.5,1e150,2e150\nrun.out = {out}\n"
+        )
+        before = _blas_threads()
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert _blas_threads() == before
+        threaded = capsys.readouterr().err
+        assert f"p={float(1e150 * build_mesh(20, 1e150).nodes[0])!r}" in threaded
+        assert not out.exists()
+        monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == threaded
+        assert not out.exists()
+
+    def test_first_failure_wins_whichever_thread_reaches_it(self, tmp_path, capsys, monkeypatch):
+        # the worker holds point 2 until point 3 has failed on another thread
+        blas = FakeBlas()
+        monkeypatch.setattr(linalg, "_blas_thread_calls", blas.calls)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        third_failed = threading.Event()
+
+        def failing_solve(problem):
+            assert blas.count == 1
+            if problem.scale == 0.7:
+                third_failed.wait(timeout=30)
+                raise cli.NumericalError("point 2")
+            if problem.scale == 0.9:
+                third_failed.set()
+                raise cli.NumericalError("point 3")
+            return []
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        cfg = tmp_path / "scan.cfg"
+        out = tmp_path / "scan.csv"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 10\n"
+            f"run.task = scan-h\nscan.h = 0.5,0.7,0.9\nrun.out = {out}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "numerical failure: point 2\n"
+        assert third_failed.is_set()
+        assert blas.counts_set == [1, 4]
+        assert not out.exists()
+
+    def test_more_threads_than_cores_take_each_point_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "_blas_thread_calls", FakeBlas().calls)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        taken = []
+
+        def stub_solve(problem):
+            taken.append(problem.scale)
+            return [SimpleNamespace(n=0, l=0, energy=problem.scale)]
+
+        monkeypatch.setattr(cli, "solve", stub_solve)
+        cfg = tmp_path / "scan.cfg"
+        out = tmp_path / "scan.csv"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 5\n"
+            f"run.task = scan-h\nscan.h = 0.1:2.0:40\nrun.out = {out}\n"
+        )
+        grid = cli._parse_grid("0.1:2.0:40", float)
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_cli(["--config", str(cfg)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == grid
+        _, rows = read_rows(out)
+        assert [float(row[4]) for row in rows] == grid
+        assert threading.active_count() == threads_before
+
+    def test_interrupt_stops_the_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "_blas_thread_calls", FakeBlas().calls)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        taken = []
+
+        def interrupted_solve(problem):
+            taken.append(problem.scale)
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+            return []
+
+        monkeypatch.setattr(cli, "solve", interrupted_solve)
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 5\n"
+            f"run.task = scan-h\nscan.h = 0.1:2.0:40\nrun.out = {tmp_path / 'scan.csv'}\n"
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["--config", str(cfg)])
+        assert len(taken) < 40
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_serial_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        settings, _ = _SCAN_GRIDS["scan-h"]
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"problem.g = 10.0\nproblem.potential = yukawa\n{settings}run.task = scan-h\n")
+        outputs = {}
+
+        def scan(name):
+            solver_module._solve_cached.cache_clear()
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+
+        scan("default")
+        calling_thread = threading.get_ident()
+        real_solve = cli.solve
+
+        def serial_solve(problem):
+            assert threading.get_ident() == calling_thread
+            return real_solve(problem)
+
+        monkeypatch.setattr(cli, "solve", serial_solve)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_blas_thread_calls", lambda: None)
+            scan("no_blas_control")
+        blas = FakeBlas()
+        monkeypatch.setattr(linalg, "_blas_thread_calls", blas.calls)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        scan("one_cpu")
+        assert blas.counts_set == []
+        assert outputs["no_blas_control"] == outputs["default"]
+        assert outputs["one_cpu"] == outputs["default"]
 
     def test_grid_must_increase(self, tmp_path):
         cfg = tmp_path / "scan.cfg"

@@ -1,17 +1,36 @@
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagmesh"
+
+
+def _hits(word: str, allowed: tuple = ()) -> list:
+    """file:line of every occurrence of word outside the allowed modules."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    return [
+        f"{path.name}:{number}"
+        for path in sources
+        if path.stem not in allowed
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if word in line
+    ]
 
 
 def test_no_longdouble_in_the_package():
     # results must not depend on the platform's long double, which is plain
     # double on MSVC and macOS-arm64 builds of NumPy
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources
-    hits = [
-        f"{path.name}:{number}"
-        for path in sources
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if "longdouble" in line
-    ]
+    hits = _hits("longdouble")
     assert not hits, f"longdouble in {', '.join(hits)}"
+
+
+@pytest.mark.parametrize(
+    "word, home",
+    [("ctypes", "linalg"), ("threading", "cli"), ("concurrent.futures", "cli")],
+)
+def test_concurrency_stays_in_one_module(word, home):
+    # the BLAS thread count is set only in linalg, and threads are started
+    # only by the CLI's scans
+    hits = _hits(word, (home,))
+    assert not hits, f"{word} outside {home}: {', '.join(hits)}"

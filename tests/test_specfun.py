@@ -337,6 +337,21 @@ class TestLegendreQ:
         with pytest.raises(ValueError):
             legendre_q(l, np.append(d, 0.0))
 
+    @pytest.mark.parametrize("l", [1, 2, MAX_DEGREE])
+    @pytest.mark.parametrize("d", [1e155, 1e300])
+    def test_huge_offsets_follow_the_asymptote(self, l, d):
+        # past d = 1.3e154, d (2 + d) overflows; Q_l(x) = l!/(2l+1)!! x^-(l+1)
+        # to relative order x^-2, here rounded once from exact rationals, so
+        # a subnormal or zero reference is the correctly rounded asymptote
+        reference = float(
+            Fraction(math.factorial(l), math.prod(range(1, 2 * l + 2, 2))) / (Fraction(d) + 1) ** (l + 1)
+        )
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value = legendre_q(l, d)
+            array = legendre_q(l, np.array([d, 0.5]))
+        assert abs(value - reference) <= 1e-13 * reference + 2 * math.ulp(0.0)
+        assert array.tolist() == [value, legendre_q(l, 0.5)]
+
     def test_domain_and_degree_errors(self):
         with pytest.raises(ValueError):
             legendre_q(0, 0.0)
