@@ -4,10 +4,11 @@ The mesh turns the radial momentum-space integral equation into a small dense
 symmetric eigenproblem in which any kinetic operator T(p^2) is diagonal;
 wavefunctions and observables in both spaces follow from the expansion
 coefficients alone. A configuration-space solver on the same mesh provides an
-independent cross-check for nonrelativistic problems.
+independent cross-check for nonrelativistic problems: it takes the same
+``ProblemSpec``, with its scale a length instead of a momentum.
 """
 
-from .configspace import ConfigProblem, reduced_wavefunction, solve_config
+from .configspace import reduced_wavefunction, solve_config
 from .errors import ConfigurationError, NumericalError
 from .kinetics import CustomKinetic, NonrelativisticKinetic, SalpeterKinetic
 from .mesh import LaguerreMesh, build_mesh
@@ -32,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundState",
-    "ConfigProblem",
     "ConfigurationError",
     "CustomKinetic",
     "CustomPotential",

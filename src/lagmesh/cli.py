@@ -9,6 +9,7 @@ for identical configuration.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -16,7 +17,7 @@ import threading
 from datetime import datetime, timezone
 
 from . import linalg
-from .configspace import ConfigProblem, solve_config
+from .configspace import solve_config
 from .configspace import mean_values as config_mean_values
 from .errors import ConfigurationError, NumericalError
 from .kinetics import NonrelativisticKinetic, SalpeterKinetic
@@ -171,17 +172,10 @@ class RunConfig:
             raise ConfigurationError("mesh.N and mesh.h are required for this task")
         return ProblemSpec(self.kinetic(), self.potential(), self.l, size, scale)
 
-    def config_problem(self, size=None) -> ConfigProblem:
-        if self.kinetics != "nonrelativistic":
-            raise ConfigurationError(
-                "the configuration-space cross-check supports nonrelativistic "
-                "kinematics only"
-            )
+    def config_problem(self) -> ProblemSpec:
         if self.scale_r is None:
             raise ConfigurationError("mesh.h_r is required to solve in configuration space")
-        if size is None:
-            size = self.size_r if self.size_r is not None else self.size
-        return ConfigProblem(self.potential(), self.l, self.kinetic().mu, size, self.scale_r)
+        return self.problem(self.size_r, self.scale_r)
 
 
 def write_csv(path: str, header: list, rows: list) -> None:
@@ -197,8 +191,8 @@ def _echo(cfg: RunConfig) -> None:
         print(f"#   {key} = {cfg.raw[key]}")
 
 
-def _solve_states(cfg: RunConfig, size=None, scale=None):
-    problem = cfg.problem(size, scale)
+def _solve_states(cfg: RunConfig):
+    problem = cfg.problem()
     return problem, solve(problem)
 
 
@@ -241,16 +235,13 @@ def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
 
     Where the BLAS thread count can be set and more than one CPU is usable,
     the BLAS runs one thread, and the points are shared among that many
-    solving threads; otherwise they are solved one after another.
+    solving threads; otherwise the calling thread solves them alone.
     """
-    threads = min(len(problems), _usable_cpus())
-    if threads > 1 and linalg._blas_thread_calls() is not None:
-        # entered before the meshes: OpenBLAS's idle workers keep spinning
-        # for a while after a multi-threaded call
-        with linalg._one_blas_thread():
-            solutions = _solve_points(problems, threads)
-    else:
-        solutions = _solve_points(problems, 1)
+    threads = min(len(problems), _usable_cpus()) if linalg._blas_thread_calls() else 1
+    # entered before the meshes: OpenBLAS's idle workers keep spinning for a
+    # while after a multi-threaded call
+    with linalg._one_blas_thread() if threads > 1 else contextlib.nullcontext():
+        solutions = _solve_points(problems, threads)
     rows = []
     for problem, states in zip(problems, solutions):
         point = [str(problem.size), _fmt(problem.scale)]
@@ -278,8 +269,6 @@ def _solve_points(problems: list, threads: int) -> list:
     """
     for problem in problems:  # build, and so check, every mesh before the first solve
         problem.mesh()
-    if threads == 1:
-        return [solve(problem) for problem in problems]
     solutions = [None] * len(problems)
     failures = {}
     points = iter(range(len(problems)))
@@ -349,11 +338,13 @@ def run_wavefunction(cfg: RunConfig) -> None:
 
 
 def run_compare(cfg: RunConfig) -> None:
-    config_problem = cfg.config_problem()  # refuse bad settings before any solve
+    # the configuration solve goes first: it refuses kinetics it cannot take
+    # before any momentum solve
+    config_problem = cfg.config_problem()
+    config_states = solve_config(config_problem)
     problem, states = _solve_states(cfg)
     if not states:
         raise NumericalError("no momentum-space bound state to compare")
-    config_states = solve_config(config_problem)
     if cfg.wave_state >= len(states) or cfg.wave_state >= len(config_states):
         raise NumericalError("requested state not bound in both spaces")
     mom = mean_values(states[cfg.wave_state], problem)
@@ -374,7 +365,7 @@ def run_compare(cfg: RunConfig) -> None:
 def _table1() -> tuple[list, list]:
     potential = GaussianPotential(15.0, 1.0)
     kinetic = NonrelativisticKinetic(1.0, 1.0)
-    config_problem = ConfigProblem(potential, 0, 0.5, 100, 0.4)
+    config_problem = ProblemSpec(kinetic, potential, 0, 100, 0.4)
     columns = [config_mean_values(solve_config(config_problem)[0], config_problem)]
     for size in (10, 20, 50):
         problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
@@ -416,7 +407,7 @@ def _table3() -> tuple[list, list]:
     header = ["quantity"]
     columns = []
     for n, l, h, h_r in settings:
-        config_problem = ConfigProblem(potential, l, 0.5, 200, h_r)
+        config_problem = ProblemSpec(kinetic, potential, l, 200, h_r)
         columns.append(config_mean_values(solve_config(config_problem)[n], config_problem))
         problem = ProblemSpec(kinetic, potential, l, 200, h)
         columns.append(mean_values(solve(problem)[n], problem))

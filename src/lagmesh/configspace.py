@@ -7,21 +7,23 @@ the potential is diagonal and the kinetic matrix is the radial form of
 
     H_ij = (2 mu h_r^2)^-1 (t_ij + l(l+1)/x_i^2 delta_ij) + V(h_r x_i) delta_ij.
 
-The reduced wavefunction is the Lagrange expansion of :mod:`lagmesh.mesh`
-times r. Semirelativistic kinematics is deliberately not supported here.
+A problem is the momentum solver's ``ProblemSpec`` with its ``scale`` h_r
+in units of length. mu and the bound-state window come from its kinetic
+operator, which must be a ``NonrelativisticKinetic``: semirelativistic
+kinematics is deliberately not supported here. The reduced wavefunction is
+the Lagrange expansion of :mod:`lagmesh.mesh` times r.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import LaguerreMesh, _node_values, build_mesh, lagrange_expansion, radial_form
-from .solver import BoundState, _solve_cached, select_bound_states
+from .kinetics import NonrelativisticKinetic
+from .mesh import _node_values, lagrange_expansion, radial_form
+from .solver import BoundState, ProblemSpec, _solve_cached, select_bound_states
 
 __all__ = [
-    "ConfigProblem",
     "assemble_config_hamiltonian",
     "solve_config",
     "mean_values",
@@ -29,52 +31,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConfigProblem:
-    """Radial eigenproblem in configuration space.
-
-    ``scale`` is the mesh scale factor in units of length. Only a reduced
-    mass enters; there is no relativistic variant of this solver.
-    """
-
-    potential: object
-    l: int
-    mu: float
-    size: int
-    scale: float
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ConfigurationError(f"reduced mass must be positive, got {self.mu!r}")
-        if self.l < 0:
-            raise ValueError(f"partial wave must be >= 0, got {self.l}")
-
-    def mesh(self) -> LaguerreMesh:
-        return build_mesh(self.size, self.scale)
+def _reduced_mass(problem: ProblemSpec) -> float:
+    if not isinstance(problem.kinetic, NonrelativisticKinetic):
+        raise ConfigurationError(
+            "the configuration-space cross-check supports nonrelativistic kinematics only"
+        )
+    return problem.kinetic.mu
 
 
-def assemble_config_hamiltonian(problem: ConfigProblem) -> np.ndarray:
+def assemble_config_hamiltonian(problem: ProblemSpec) -> np.ndarray:
+    mu = _reduced_mass(problem)
     m = problem.mesh()
-    values = radial_form(m, problem.l) / (m.scale * m.scale) / (2.0 * problem.mu)
+    values = radial_form(m, problem.l) / (m.scale * m.scale) / (2.0 * mu)
     return values + np.diag(_node_values(m, problem.potential.radial_value, "potential"))
 
 
-def solve_config(problem: ConfigProblem) -> list[BoundState]:
-    """The labeled bound states (energy below zero), in ascending energy.
+def solve_config(problem: ProblemSpec) -> list[BoundState]:
+    """The labeled bound states inside the kinetic operator's window, in
+    ascending energy.
 
-    Full spectra are cached per ConfigProblem.
+    Full spectra are cached per problem.
     """
     energies, vectors = _solve_cached(assemble_config_hamiltonian, problem)
-    return select_bound_states(energies, vectors, (-math.inf, 0.0), problem.mesh(), problem.l)
+    window = problem.kinetic.bound_window()
+    return select_bound_states(energies, vectors, window, problem.mesh(), problem.l)
 
 
-def mean_values(state: BoundState, problem: ConfigProblem) -> dict:
+def mean_values(state: BoundState, problem: ProblemSpec) -> dict:
     """The state's mean values by name, in a fixed order.
 
     ``energy``; ``p2_mean``, <q^2> through the radial form divided by h_r^2;
     ``r_mean`` and ``potential_mean``, diagonal in configuration space as
     sum C_j^2 K(h x_j); and ``hamiltonian_mean`` = <p^2> / (2 mu) + <V>.
     """
+    mu = _reduced_mass(problem)
     m = state.mesh
     c = state.coefficients
     form = radial_form(m, problem.l) / (m.scale * m.scale)
@@ -86,9 +76,7 @@ def mean_values(state: BoundState, problem: ConfigProblem) -> dict:
             np.dot(c**2, _node_values(m, problem.potential.radial_value, "radial observable"))
         ),
     }
-    values["hamiltonian_mean"] = (
-        values["p2_mean"] / (2.0 * problem.mu) + values["potential_mean"]
-    )
+    values["hamiltonian_mean"] = values["p2_mean"] / (2.0 * mu) + values["potential_mean"]
     return values
 
 

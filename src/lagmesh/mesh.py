@@ -145,6 +145,7 @@ def _node_values(mesh: LaguerreMesh, f, what: str) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise NumericalError(
-            f"{what} not finite at mesh node {k + 1} (scale * x = {float(points[k])!r})"
+            f"{what} contains non-finite values, first at mesh node {k + 1} "
+            f"(scale * x = {float(points[k])!r})"
         )
     return values

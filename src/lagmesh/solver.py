@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import eigh_refined
-from .mesh import LaguerreMesh, build_mesh
+from .mesh import LaguerreMesh, _node_values, build_mesh
 
 __all__ = [
     "ProblemSpec",
@@ -33,7 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One partial-wave eigenproblem: kinetics + potential + mesh settings."""
+    """One partial-wave eigenproblem: kinetics + potential + mesh settings.
+
+    ``scale`` is the mesh scale factor: a momentum for ``solve``, a length
+    for the configuration-space solver of :mod:`lagmesh.configspace`. The
+    kinetic operator alone fixes the masses and the bound-state window.
+    """
 
     kinetic: object
     potential: object
@@ -72,7 +77,8 @@ def assemble_hamiltonian(problem: ProblemSpec) -> np.ndarray:
     """Build the dense symmetric H, one kernel call on the upper triangle.
 
     A kernel that raises or returns a non-finite value is reported as a
-    ``NumericalError`` naming the first failing mesh pair in row order.
+    ``NumericalError`` naming the first failing mesh pair in row order, and
+    a non-finite kinetic energy as one naming its mesh node.
     """
     m = problem.mesh()
     h = m.scale
@@ -100,8 +106,7 @@ def assemble_hamiltonian(problem: ProblemSpec) -> np.ndarray:
     values = np.empty((n, n))
     values[i, j] = entries
     values[j, i] = entries
-    for k in range(n):
-        values[k, k] += problem.kinetic.value(momenta[k])
+    values[np.diag_indices(n)] += _node_values(m, problem.kinetic.value, "kinetic energy")
     return values
 
 
@@ -130,18 +135,14 @@ def solve_spectrum(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues (ascending) and orthonormal eigenvectors of a mesh H.
 
     A non-finite entry is refused before the eigensolver sees it, and a
-    non-finite eigenpair or a residual above 1e-11 * ||H|| after it. Exact
-    degeneracies are ordered by the index of the largest-magnitude
-    coefficient, so the output is reproducible.
+    non-finite eigenpair or a residual above 1e-11 * ||H|| after it. The
+    order is ``eigh_refined``'s, reproducible through exact degeneracies.
     """
     if not np.all(np.isfinite(hamiltonian)):
         raise NumericalError("Hamiltonian contains non-finite entries")
     energies, vectors = eigh_refined(hamiltonian)
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(vectors))):
         raise NumericalError("eigensolver returned non-finite eigenpairs")
-    order = np.lexsort((np.argmax(np.abs(vectors), axis=0), energies))
-    energies = energies[order]
-    vectors = vectors[:, order]
     residual = np.abs(hamiltonian @ vectors - vectors * energies).max()
     bound = 1e-11 * np.abs(energies).max()  # ||H||_2 of a symmetric H, without an SVD
     if not residual <= bound:

@@ -221,7 +221,7 @@ def legendre_p(l: int, t):
 
 MAX_DEGREE = 26  # highest l of legendre_q and of the analytic partial-wave kernels
 _Q_START = 18.0  # downward start degree l + ceil(18 / ln rho): rho^(-2(K - l)) <= e^(-36)
-_ROOT_SPLIT = 2.0**500  # above this offset, sqrt(d (2 + d)) is taken as two roots
+_ASYMPTOTIC = 2.0**500  # above this offset, Q_l/Q_0 = l!/(2l+1)!! d^-l to relative order 1/d
 
 
 def legendre_q(l: int, d):
@@ -270,21 +270,26 @@ def _q_ratio_product(l: int, d: np.ndarray) -> np.ndarray:
 
     The loop runs from the largest K down; an element's ratio is updated only
     from its own K on, so an array call equals the scalar calls bit for bit.
+    Past d = 2^500 the product is its asymptote l!/(2l+1)!! d^-l, exact to
+    relative order 1/d, taken as l!/(2l+1)!! (1/d)^l because (2k+1) d and
+    d (2 + d) overflow near the top of the double range.
     """
+    big = d > _ASYMPTOTIC
+    product = np.ones_like(d)
+    product[big] = math.prod(k / (2 * k + 1) for k in range(1, l + 1)) * (1.0 / d[big]) ** l
+    d = d[~big]
     if not d.size:
-        return d
-    big = d > _ROOT_SPLIT
-    root = np.sqrt(np.where(big, 1.0, d) * (2.0 + d))
-    root[big] *= np.sqrt(d[big])  # sqrt(d) sqrt(2 + d): d (2 + d) overflows past 1.3e154
-    rho_m1 = d + root
+        return product
+    rho_m1 = d + np.sqrt(d * (2.0 + d))
     start = l + np.ceil(_Q_START / np.log1p(rho_m1))
     r = 1.0 / (1.0 + rho_m1)
-    product = np.ones_like(d)
+    small = np.ones_like(d)
     for k in range(int(start.max()), 0, -1):
         live = start >= k
         r[live] = k / ((2 * k + 1) * d[live] + ((2 * k + 1) - (k + 1) * r[live]))
         if k <= l:
-            product *= r
+            small *= r
+    product[~big] = small
     return product
 
 

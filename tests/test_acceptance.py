@@ -13,7 +13,6 @@ import pytest
 
 from conftest import DIMENSIONLESS, gauss15, print_ulp, salpeter_gauss, yukawa10
 from lagmesh import (
-    ConfigProblem,
     GaussianPotential,
     ProblemSpec,
     SalpeterKinetic,
@@ -125,7 +124,7 @@ def test_criterion_1_table1_momentum():
 
 def test_criterion_2_table1_configuration():
     failures = []
-    problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
+    problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 100, 0.4)
     state = solve_config(problem)[0]
     check_cell(failures, "energy", state.energy, "-5.3775999070684", tol=1e-9)
     values = config_mean_values(state, problem)
@@ -240,7 +239,7 @@ def test_criterion_5_figure_spot_values():
         ("(c) Yukawa momentum N=20 h=0.5", solve(yukawa10(size=20, scale=0.5))[0].energy, -16.2066, 1e-3),
         (
             "(d) Yukawa configuration N=20 h_r=0.05",
-            solve_config(ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 20, 0.05))[0].energy,
+            solve_config(ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), 0, 20, 0.05))[0].energy,
             -16.3404,
             1e-3,
         ),
@@ -392,7 +391,7 @@ def test_criterion_9_fourier_reconstruction():
     # oscillation onset must be located.
     failures = []
     mom_state = solve(gauss15(size=20))[0]
-    conf_state = solve_config(ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4))[0]
+    conf_state = solve_config(ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 20, 0.4))[0]
     grid = np.arange(0.1, 10.01, 0.1)
     u_mom = grid * wavefunction_position(mom_state, grid)
     u_conf = reduced_wavefunction(conf_state, grid)

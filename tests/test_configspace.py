@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_ulp, gauss15
+from conftest import DIMENSIONLESS, assert_ulp, gauss15
 from lagmesh import (
-    ConfigProblem,
     CustomPotential,
     GaussianPotential,
+    ProblemSpec,
+    SalpeterKinetic,
     YukawaPotential,
     reduced_wavefunction,
     solve,
@@ -19,7 +20,7 @@ from lagmesh.errors import ConfigurationError, NumericalError
 
 @pytest.fixture(scope="module")
 def gauss_conf():
-    problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
+    problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 100, 0.4)
     return problem, solve_config(problem)[0]
 
 
@@ -49,18 +50,18 @@ class TestGaussianBenchmark:
 
 class TestYukawaBenchmark:
     def test_deep_ground_state(self):
-        problem = ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 200, 0.02)
+        problem = ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), 0, 200, 0.02)
         states = solve_config(problem)
         assert_ulp(states[0].energy, "-16.340426")
 
     def test_radial_excitation(self):
-        problem = ConfigProblem(YukawaPotential(10.0, 1.0), 0, 0.5, 200, 0.05)
+        problem = ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), 0, 200, 0.05)
         states = solve_config(problem)
         assert len(states) == 2
         assert_ulp(states[1].energy, "-0.6053933")
 
     def test_p_wave_state_and_observable(self):
-        problem = ConfigProblem(YukawaPotential(10.0, 1.0), 1, 0.5, 200, 0.05)
+        problem = ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), 1, 200, 0.05)
         states = solve_config(problem)
         assert len(states) == 1
         assert_ulp(states[0].energy, "-0.205082327")
@@ -68,21 +69,22 @@ class TestYukawaBenchmark:
 
 
 class TestProblemValidation:
-    def test_non_positive_reduced_mass_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.0, 20, 0.4)
+    def test_salpeter_kinetics_rejected(self):
+        problem = ProblemSpec(SalpeterKinetic(1.0, 1.0), GaussianPotential(3.0, 1.0), 0, 20, 0.4)
+        with pytest.raises(ConfigurationError, match="nonrelativistic"):
+            solve_config(problem)
 
     def test_momentum_only_potential_cannot_be_solved_radially(self):
         from lagmesh import CustomPotential
 
-        problem = ConfigProblem(CustomPotential(fourier=lambda k: 0.0), 0, 0.5, 10, 0.4)
+        problem = ProblemSpec(DIMENSIONLESS, CustomPotential(fourier=lambda k: 0.0), 0, 10, 0.4)
         with pytest.raises(ConfigurationError):
             solve_config(problem)
 
 
 class TestReducedWavefunction:
     def test_node_values_match_coefficients(self):
-        problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4)
+        problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 20, 0.4)
         states = solve_config(problem)
         state = states[0]
         mesh = state.mesh
@@ -92,6 +94,6 @@ class TestReducedWavefunction:
             assert reduced_wavefunction(state, r) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishes_at_origin(self):
-        problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 20, 0.4)
+        problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 20, 0.4)
         states = solve_config(problem)
         assert reduced_wavefunction(states[0], 0.0) == 0.0

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import gauss15, yukawa10
-from lagmesh import ConfigProblem, YukawaPotential, assemble_hamiltonian
+from conftest import DIMENSIONLESS, gauss15, yukawa10
+from lagmesh import ProblemSpec, YukawaPotential, assemble_hamiltonian
 from lagmesh.configspace import assemble_config_hamiltonian
 from lagmesh.errors import NumericalError
 from lagmesh.linalg import eigh_refined
@@ -28,7 +28,7 @@ def _r2_form(size=30):
 
 def _graded_config_hamiltonian():
     # centrifugal corner of order 5e5 against eigenvalues of order one
-    return assemble_config_hamiltonian(ConfigProblem(YukawaPotential(10.0, 1.0), 1, 0.5, 30, 0.05))
+    return assemble_config_hamiltonian(ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), 1, 30, 0.05))
 
 
 @pytest.mark.parametrize(

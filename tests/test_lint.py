@@ -1,8 +1,12 @@
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagmesh"
+import lagmesh
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lagmesh"
 
 
 def _hits(word: str, allowed: tuple = ()) -> list:
@@ -34,3 +38,11 @@ def test_concurrency_stays_in_one_module(word, home):
     # only by the CLI's scans
     hits = _hits(word, (home,))
     assert not hits, f"{word} outside {home}: {', '.join(hits)}"
+
+
+def test_public_names_are_documented():
+    # every public name is shown in the README's code, in a span or a block
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.DOTALL))
+    missing = [name for name in lagmesh.__all__ if not re.search(rf"\b{name}\b", code)]
+    assert not missing, f"not in README.md: {', '.join(missing)}"

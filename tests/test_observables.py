@@ -6,7 +6,6 @@ import pytest
 from conftest import DIMENSIONLESS, gauss15, salpeter_gauss
 from lagmesh import (
     BoundState,
-    ConfigProblem,
     CustomPotential,
     GaussianPotential,
     ProblemSpec,
@@ -225,7 +224,7 @@ class TestWavefunctions:
         assert wavefunction_position(l0_state, 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_parseval_against_configuration_space(self, gauss15_ground):
-        problem = ConfigProblem(GaussianPotential(15.0, 1.0), 0, 0.5, 100, 0.4)
+        problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0, 100, 0.4)
         conf_q2 = config_mean_values(solve_config(problem)[0], problem)["p2_mean"]
         mom_q2 = expval_momentum(gauss15_ground, lambda p: p * p)
         assert abs(mom_q2 - conf_q2) <= 1e-8

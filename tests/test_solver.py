@@ -102,6 +102,18 @@ class TestAssembly:
         with pytest.raises(NumericalError, match=r"\(i=3, j=3\).*synthetic breakdown"):
             assemble_hamiltonian(problem)
 
+    def test_non_finite_kinetic_value_names_the_node(self):
+        kinetic = CustomKinetic(
+            lambda p2: math.nan if p2 > 100.0 else p2, window=(-math.inf, 0.0)
+        )
+        problem = ProblemSpec(kinetic, GaussianPotential(15.0, 1.0), 0, 20, 0.5)
+        mesh = problem.mesh()
+        momenta = mesh.scale * mesh.nodes
+        first = int(np.flatnonzero(momenta * momenta > 100.0)[0])
+        assert 0 < first < mesh.size - 1
+        with pytest.raises(NumericalError, match=rf"kinetic energy .* mesh node {first + 1} "):
+            solve(problem)
+
 
 class TestSpectrum:
     def test_identity_matrix(self):

@@ -338,9 +338,10 @@ class TestLegendreQ:
             legendre_q(l, np.append(d, 0.0))
 
     @pytest.mark.parametrize("l", [1, 2, MAX_DEGREE])
-    @pytest.mark.parametrize("d", [1e155, 1e300])
+    @pytest.mark.parametrize("d", [1e155, 1e300, 1e307, 8e307, 1e308])
     def test_huge_offsets_follow_the_asymptote(self, l, d):
-        # past d = 1.3e154, d (2 + d) overflows; Q_l(x) = l!/(2l+1)!! x^-(l+1)
+        # past d = 1.3e154, d (2 + d) overflows, and near the top of the double
+        # range so do (2k + 1) d and d + sqrt(d (2 + d)); Q_l(x) = l!/(2l+1)!! x^-(l+1)
         # to relative order x^-2, here rounded once from exact rationals, so
         # a subnormal or zero reference is the correctly rounded asymptote
         reference = float(
