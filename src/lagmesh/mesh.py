@@ -76,17 +76,21 @@ def lagrange_expansion(mesh: LaguerreMesh, coefficients, x) -> np.ndarray:
     Written as L_N(x) exp(-x/2) sum_j (-1)^j c_j x_j^{-1/2} (x - x_j)^{-1},
     which is finite at the origin for any coefficients. Inside a 1e-10
     window around x_j the removable singularity of f_j is replaced by its
-    limit weights[j]^{-1/2}.
+    limit weights[j]^{-1/2}. A point that is not >= 0, NaN included, raises
+    ValueError.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
+    bad = flat[~(flat >= 0.0)]
+    if bad.size:
+        raise ValueError(f"Lagrange functions are defined on x >= 0, got x = {float(bad[0])!r}")
     nodes = mesh.nodes
     signs = np.where(np.arange(1, mesh.size + 1) % 2 == 0, 1.0, -1.0)
     terms = flat[:, None] - nodes
     near = np.abs(terms) < _NODE_WINDOW
     terms[near] = np.inf
     np.divide(coefficients * signs / np.sqrt(nodes), terms, out=terms)
-    out = laguerre_weighted(mesh.size, flat) * terms.sum(axis=1)
+    out = laguerre_weighted(nodes, flat) * terms.sum(axis=1)
     rows, cols = np.nonzero(near)
     out[rows] += coefficients[cols] / flat[rows] / np.sqrt(mesh.weights[cols])
     return out.reshape(x.shape)
@@ -102,8 +106,6 @@ def lagrange_function(mesh: LaguerreMesh, i: int, x: float) -> float:
     """
     if not 1 <= i <= mesh.size:
         raise ValueError(f"node index must be in [1, {mesh.size}], got {i}")
-    if x < 0.0:
-        raise ValueError("Lagrange functions are defined on x >= 0")
     # The coefficient x turns f_i(x) / x into f_i(x); in the node window the
     # limit then comes out exactly, because x / x is 1.
     coefficients = np.zeros(mesh.size)

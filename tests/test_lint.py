@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -46,3 +47,18 @@ def test_public_names_are_documented():
     code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.DOTALL))
     missing = [name for name in lagmesh.__all__ if not re.search(rf"\b{name}\b", code)]
     assert not missing, f"not in README.md: {', '.join(missing)}"
+
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        "lagmesh" if path.stem == "__init__" else f"lagmesh.{path.stem}"
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__main__"  # importing it runs the command line
+    ),
+)
+def test_module_exports_exist(name):
+    module = importlib.import_module(name)
+    missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+    assert not missing, f"{name}.__all__ names undefined: {', '.join(missing)}"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,14 @@ class TestLagrangeExpansion:
         grid = np.concatenate(([0.0], np.linspace(0.05, 12.0, 40)))
         values = evaluate(gauss15_ground, grid)
         assert values.tolist() == [evaluate(gauss15_ground, float(v)) for v in grid]
+
+    @pytest.mark.parametrize("evaluate", [wavefunction_momentum, reduced_wavefunction])
+    @pytest.mark.parametrize("point", [-1.0, math.nan, [0.0, 2.0, -1.0, -3.0, 4.0]])
+    def test_point_below_zero_rejected(self, gauss15_ground, evaluate, point):
+        # the error names the first offending point, in mesh units p / h
+        first = float(next(v for v in np.ravel(point) if not v >= 0.0) / gauss15_ground.mesh.scale)
+        with pytest.raises(ValueError, match=re.escape(f"got x = {first!r}")):
+            evaluate(gauss15_ground, point)
 
 
 class TestWavefunctions:

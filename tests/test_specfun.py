@@ -11,7 +11,6 @@ from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
     MAX_DEGREE,
     _dd_newton_step,
-    _newton_step,
     laguerre_weighted,
     laguerre_weights,
     laguerre_zeros,
@@ -28,27 +27,61 @@ def _laguerre_oracle(N, x):
 
 class TestLaguerreValue:
     def test_degree_zero_is_one(self):
-        assert laguerre_weighted(0, 5.0) == pytest.approx(_laguerre_oracle(0, 5.0), rel=1e-15)
+        assert laguerre_weighted([], 5.0) == pytest.approx(_laguerre_oracle(0, 5.0), rel=1e-15)
 
     def test_degree_one(self):
-        assert laguerre_weighted(1, 2.0) == pytest.approx(_laguerre_oracle(1, 2.0), rel=1e-15)
+        assert laguerre_weighted(laguerre_zeros(1), 2.0) == pytest.approx(
+            _laguerre_oracle(1, 2.0), rel=1e-15
+        )
 
     def test_degree_two_explicit_polynomial(self):
         x = np.array([0.5, 2.0, 7.0])
-        assert laguerre_weighted(2, x) == pytest.approx(_laguerre_oracle(2, x), rel=1e-14)
+        assert laguerre_weighted(laguerre_zeros(2), x) == pytest.approx(
+            _laguerre_oracle(2, x), rel=1e-14
+        )
 
     def test_weighted_matches_plain_at_moderate_arguments(self):
         x = np.linspace(0.1, 40.0, 57)
-        assert laguerre_weighted(12, x) == pytest.approx(_laguerre_oracle(12, x), rel=1e-12)
+        assert laguerre_weighted(laguerre_zeros(12), x) == pytest.approx(
+            _laguerre_oracle(12, x), rel=1e-12
+        )
 
     def test_weighted_survives_large_mesh_arguments(self):
         # beyond the last zero of L_512 the damped value must stay finite
-        vals = laguerre_weighted(512, np.array([1000.0, 2003.0, 2500.0]))
+        vals = laguerre_weighted(
+            laguerre_zeros(512), np.array([1000.0, 2003.0, 2500.0, 1e12, 1e300])
+        )
         assert np.all(np.isfinite(vals))
 
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            laguerre_weighted(-1, 1.0)
+    @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
+    def test_array_equals_scalar_calls(self, n):
+        # points below, at, between and beyond the roots
+        zeros = laguerre_zeros(n)
+        x = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, zeros[-1], 700.0, 1400.0, 1990.0, 2100.0])
+        values = laguerre_weighted(zeros, x)
+        assert np.all(np.isfinite(values))
+        assert values.tolist() == [laguerre_weighted(zeros, v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("n", [50, 200, 400, 512])
+    def test_near_the_zeros_against_60_digits(self, n):
+        # at x_k (1 +- 1e-9) the value is a small difference of the
+        # polynomial's large terms; the product over the zeros keeps it to
+        # the rounding of the zeros, about 1e-16 / 1e-9 relative
+        mp = pytest.importorskip("mpmath")
+        zeros = laguerre_zeros(n)
+        roots = zeros[np.linspace(0, n - 1, 20).round().astype(int)]
+        x = np.concatenate([roots * (1.0 - 1e-9), roots * (1.0 + 1e-9)])
+        values = laguerre_weighted(zeros, x)
+        with mp.workdps(60):
+            reference = []
+            for point in x.tolist():
+                t = mp.mpf(point)
+                p_prev, p = mp.mpf(1), 1 - t
+                for k in range(1, n):
+                    p_prev, p = p, ((2 * k + 1 - t) * p - k * p_prev) / (k + 1)
+                reference.append(float(p * mp.exp(-t / 2)))
+        reference = np.array(reference)
+        assert np.all(np.abs(values - reference) <= 1e-6 * np.abs(reference))
 
 
 # Exact zeros of L_N: Newton from the Golub-Welsch eigenvalues in 2^-160
@@ -123,7 +156,7 @@ class TestLaguerreZeros:
         # the Newton step -L_N / L_N' is below 1e-13 of the root
         for n in (10, 100):
             zeros = laguerre_zeros(n)
-            assert np.all(np.abs(_newton_step(n, zeros)) <= 1e-13 * zeros)
+            assert np.all(np.abs(_dd_newton_step(n, zeros)) <= 1e-13 * zeros)
 
     @pytest.mark.parametrize("n", [0, 513])
     def test_out_of_range_rejected(self, n):
@@ -160,18 +193,19 @@ class TestLaguerreZeros:
         for zero, closed in zip(_exact_zeros(2), (2 - root2, 2 + root2)):
             assert abs(zero - closed) <= Fraction(1, 1 << 150)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
-    def test_newton_step_array_equals_scalar_steps(self, n, dtype):
-        # points below, at and beyond the roots, where the recurrence rescales
-        x = np.array([1e-3, 0.5, 3.0, 40.0, 700.0, 1400.0, 1990.0, 2100.0], dtype=dtype)
-        steps = _newton_step(n, x)
-        assert steps.dtype == x.dtype
-        # the double iteration ran on Python floats, the extended one on scalars
-        scalars = [float(v) for v in x] if dtype is np.float64 else list(x)
-        expected = np.array([_sequential_newton_step(n, v) for v in scalars], dtype=dtype)
-        assert np.all(np.isfinite(expected))
-        assert np.array_equal(steps, expected)
+    @pytest.mark.parametrize("n", [10, 100, 512])
+    def test_poorer_start_gives_the_same_zeros(self, n, monkeypatch):
+        # eigenvalues off by 1e-9 relative, ten times the LAPACK bound
+        # eps ||J|| at root 1 of N = 512, still polish to the same doubles
+        zeros = laguerre_zeros(n)
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed(a):
+            start = eigvalsh(a)
+            return start * (1.0 + 1e-9 * np.where(np.arange(start.size) % 2, 1.0, -1.0))
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        assert np.array_equal(laguerre_zeros(n), zeros)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
     def test_dd_newton_step_array_equals_scalar_steps(self, n):
@@ -182,10 +216,10 @@ class TestLaguerreZeros:
         assert steps.tolist() == [_dd_newton_step(n, x[i : i + 1])[0] for i in range(x.size)]
 
 
-# The scalar recurrence and Newton step, the reference for the array
-# ``_newton_step``, and the root-by-root iteration built on them: each root
-# guessed from the two before it and polished in double, then every root
-# corrected once by the package's double-double Newton step.
+# The scalar recurrence and Newton step, and the root-by-root iteration
+# built on them: each root guessed from the two before it and polished in
+# double, then every root corrected once by the package's double-double
+# Newton step.
 
 
 def _sequential_laguerre_pair(N: int, x):
