@@ -399,11 +399,8 @@ def _table2() -> tuple[list, list]:
 def _table3() -> tuple[list, list]:
     potential = YukawaPotential(10.0, 1.0)
     kinetic = NonrelativisticKinetic(1.0, 1.0)
-    settings = [  # (n, l, momentum h, configuration h_r)
-        (0, 0, 0.8, 0.02),
-        (1, 0, 1.0, 0.05),
-        (0, 1, 0.5, 0.05),
-    ]
+    # (n, l, momentum h, configuration h_r)
+    settings = [(0, 0, 0.8, 0.02), (1, 0, 1.0, 0.05), (0, 1, 0.5, 0.05)]
     header = ["quantity"]
     columns = []
     for n, l, h, h_r in settings:

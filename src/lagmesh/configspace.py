@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .kinetics import NonrelativisticKinetic
 from .mesh import _node_values, lagrange_expansion, radial_form
-from .solver import BoundState, ProblemSpec, _solve_cached, select_bound_states
+from .solver import BoundState, ProblemSpec, _solve_cached
 
 __all__ = [
     "assemble_config_hamiltonian",
@@ -48,13 +48,8 @@ def assemble_config_hamiltonian(problem: ProblemSpec) -> np.ndarray:
 
 def solve_config(problem: ProblemSpec) -> list[BoundState]:
     """The labeled bound states inside the kinetic operator's window, in
-    ascending energy.
-
-    Full spectra are cached per problem.
-    """
-    energies, vectors = _solve_cached(assemble_config_hamiltonian, problem)
-    window = problem.kinetic.bound_window()
-    return select_bound_states(energies, vectors, window, problem.mesh(), problem.l)
+    ascending energy; they are cached per problem, as ``solve`` caches them."""
+    return list(_solve_cached(assemble_config_hamiltonian, problem))
 
 
 def mean_values(state: BoundState, problem: ProblemSpec) -> dict:

@@ -33,7 +33,11 @@ product and one each for V^T R and V C. The eigenvalues are the Rayleigh
 quotients of round 2, taken of the vectors after round 1. Their error is of
 order |C_2|^2 ||A||, with C_2 the correction of round 2 (at most 5.6e-17 at
 Yukawa N = 400), far below the floor of the split product, so the final
-vectors need no product of their own.
+vectors need no product of their own. A call holds seven N x N arrays
+besides its input: A1, vh, vl and four work buffers, which every step writes
+into with ``out=``. The tail A2 = 2^-e A - A1 is rebuilt, flushed, in a work
+buffer in each round. Strictly ascending eigenvalues need no sort, and vh is
+returned without a copy.
 
 Momentum-space eigenvectors of a Gaussian potential decay like a Gaussian,
 and their tails reach the subnormal range. A GEMM multiplies pairs of such tails, and every
@@ -93,48 +97,48 @@ def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(a, dtype=float)  # the split grids assume 53-bit doubles
     _, vh = np.linalg.eigh(a)
-    exponent = np.frexp(np.max(np.abs(a)))[1]
-    a2 = np.ldexp(a, -exponent)
+    exponent = np.frexp(max(a.max(), -a.min()))[1]
     bits = (53 - (len(a) - 1).bit_length()) // 2  # N 4^bits <= 2^53
-    top = _top(a2, axis=1)
+    v1, t, p1, p2 = (np.empty_like(a) for _ in range(4))
+    np.ldexp(a, -exponent, out=p2)
+    top = _top(p2, axis=1)
     theta = _FLUSH if top.min() > _FLUSH_GUARD else 0.0  # max|row| >= 2^(top - 1)
-    a1 = _head(a2, top, bits)
-    a2 -= a1
-    _flush(a2, theta)
+    a1 = _head(p2, top, bits, np.empty_like(a))
     _flush(vh, theta)
     vl = np.zeros_like(vh)
     for _ in range(2):
-        v1, d_head, d_tail, residual = _rayleigh(a1, a2, vh, vl, bits)
-        residual -= vh * d_tail
-        _flush(residual, theta)
-        b = vh.T @ residual
-        del residual
-        gap = d_head[None, :] - d_head[:, None]
-        gap += d_tail[None, :] - d_tail[:, None]
+        d_head, d_tail = _rayleigh(a, exponent, a1, vh, vl, bits, theta, v1, t, p1, p2)
+        np.multiply(vh, d_tail, out=t)
+        p1 -= t  # the residual at d
+        _flush(p1, theta)
+        np.matmul(vh.T, p1, out=p2)  # B
+        np.subtract(d_head[None, :], d_head[:, None], out=t)  # the gaps
+        np.subtract(d_tail[None, :], d_tail[:, None], out=p1)
+        t += p1
         scale = np.max(np.abs(d_head + d_tail)) or 1.0
-        safe = np.abs(gap) > _DEGENERACY_GUARD * scale
-        np.fill_diagonal(safe, False)
-        c = np.zeros_like(b)
-        np.divide(b, gap, out=c, where=safe)
-        del b, gap
-        _flush(c, theta)
-        vl += vh @ c
-        del c
-        vh, vl = _normalize(vh, vl, v1)
+        safe = np.abs(t, out=p1) > _DEGENERACY_GUARD * scale  # never i = j: the gap is 0
+        p1.fill(0.0)
+        np.divide(p2, t, out=p1, where=safe)  # C
+        del safe
+        _flush(p1, theta)
+        vl += np.matmul(vh, p1, out=t)
+        vh, p1 = _normalize(vh, vl, v1, t, p1, p2), vh
         _flush(vh, theta)
         _flush(vl, theta)
     with np.errstate(over="ignore"):
         d = np.ldexp(d_head + d_tail, exponent)
     if not np.all(np.isfinite(d)):
         raise NumericalError("an eigenvalue lies beyond the double range")
-    del a1, a2, vl, v1  # the returned vectors reuse this memory: a lower peak RSS
+    if np.all(np.diff(d) > 0):  # LAPACK's order, with no tie to break
+        return d, vh
+    del a1, vl, v1, t, p1, p2  # the sorted vectors reuse this memory: a lower peak RSS
     order = np.lexsort((np.argmax(np.abs(vh), axis=0), d))
     return d[order], np.ascontiguousarray(vh[:, order])
 
 
 def _top(x: np.ndarray, axis: int) -> np.ndarray:
     """Smallest t with max|x| < 2^t along axis (0 for an all-zero line)."""
-    return np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+    return np.frexp(np.maximum(np.max(x, axis, keepdims=True), -np.min(x, axis, keepdims=True)))[1]
 
 
 def _flush(x: np.ndarray, theta: float) -> None:
@@ -144,37 +148,41 @@ def _flush(x: np.ndarray, theta: float) -> None:
     np.copyto(x, 0.0, where=tiny)
 
 
-def _head(x: np.ndarray, top, bits: int) -> np.ndarray:
-    """x rounded to a multiple of 2^(top - bits), where |x| <= 2^top.
+def _head(x: np.ndarray, top, bits: int, out: np.ndarray) -> np.ndarray:
+    """x rounded to a multiple of 2^(top - bits), where |x| <= 2^top, into out.
 
     The head has at most ``bits`` significant bits, and x - head is exact.
     Adding and removing sigma = 0.75 * 2^(top + 53 - bits) rounds x on the
     grid of sigma's last bit (Rump, Ogita & Oishi's ExtractScalar).
     """
     sigma = np.ldexp(0.75, top + 53 - bits)
-    head = x + sigma
-    head -= sigma
-    return head
+    np.add(x, sigma, out=out)
+    out -= sigma
+    return out
 
 
-def _rayleigh(a1, a2, vh, vl, bits):
+def _rayleigh(a, exponent, a1, vh, vl, bits, theta, v1, t, p1, p2):
     """Split product P = A V, Rayleigh quotients d and residual P - V d_head.
 
-    Returns the head v1 of vh, d as the unevaluated sum d_head + d_tail, and
-    the residual at d_head (not yet at d).
+    Writes the head of vh into v1, the flushed tail A2 = 2^-exponent a - a1
+    into p2 and the residual at d_head (not yet at d) into p1, and returns d
+    as the unevaluated sum d_head + d_tail.
     """
-    norm2 = np.sum(vh * vh, axis=0)
-    v1 = _head(vh, _top(vh, axis=0), bits)
-    t = vh - v1
+    norm2 = np.sum(np.multiply(vh, vh, out=t), axis=0)
+    _head(vh, _top(vh, axis=0), bits, v1)
+    np.subtract(vh, v1, out=t)
     t += vl
-    p1 = a2 @ vh
-    p2 = a1 @ t
+    np.ldexp(a, -exponent, out=p2)
+    p2 -= a1
+    _flush(p2, theta)
+    np.matmul(p2, vh, out=p1)
+    np.matmul(a1, t, out=p2)
     p2 += p1
     np.matmul(a1, v1, out=p1)  # exact: bits + bits + log2(N) <= 53
     np.add(p1, p2, out=t)
     t *= vh
     d_head = np.sum(t, axis=0) / norm2
-    d_head = _head(d_head, np.frexp(d_head)[1], 53 - bits)
+    _head(d_head, np.frexp(d_head)[1], 53 - bits, d_head)
     np.multiply(v1, d_head, out=t)  # exact: bits + (53 - bits) significant bits
     p1 -= t
     np.subtract(vh, v1, out=t)
@@ -184,18 +192,18 @@ def _rayleigh(a1, a2, vh, vl, bits):
     p1 += p2
     np.multiply(vh, p1, out=t)
     d_tail = np.sum(t, axis=0) / norm2
-    return v1, d_head, d_tail, p1
+    return d_head, d_tail
 
 
-def _normalize(vh, vl, v1):
-    """Columns of vh + vl scaled to unit norm, as a renormalized pair.
+def _normalize(vh, vl, v1, t, s, z):
+    """Columns of vh + vl scaled to unit norm, as the renormalized pair s + vl.
 
     v1, the head of vh from the split product and overwritten here, makes
     sum(v1^2) exact, and with v2 = vh - v1
     |vh + vl|^2 = sum(v1^2) + sum(v2 (v1 + vh) + vl (2 vh + vl)).
     """
-    excess = np.sum(v1 * v1, axis=0) - 1.0
-    t = vh - v1
+    excess = np.sum(np.multiply(v1, v1, out=t), axis=0) - 1.0
+    np.subtract(vh, v1, out=t)
     v1 += vh
     t *= v1
     np.add(vh, vh, out=v1)
@@ -206,13 +214,13 @@ def _normalize(vh, vl, v1):
     np.add(vh, vl, out=t)
     t *= np.expm1(-0.5 * np.log1p(excess))  # 1/|v| - 1 to relative eps
     vl += t
-    return _two_sum(vh, vl)
+    return _two_sum(vh, vl, s, z)[0]
 
 
-def _two_sum(a, b):
-    """s = fl(a + b) and the exact error (a + b) - s, overwriting b (Knuth)."""
-    s = a + b
-    z = s - a
+def _two_sum(a, b, s=None, z=None):
+    """s = fl(a + b) and the exact error (a + b) - s, overwriting b (Knuth); s, z: out arrays."""
+    s = np.add(a, b, out=s)
+    z = np.subtract(s, a, out=z)
     b -= z
     np.subtract(s, z, out=z)
     np.subtract(a, z, out=z)

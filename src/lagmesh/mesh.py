@@ -76,14 +76,11 @@ def lagrange_expansion(mesh: LaguerreMesh, coefficients, x) -> np.ndarray:
     Written as L_N(x) exp(-x/2) sum_j (-1)^j c_j x_j^{-1/2} (x - x_j)^{-1},
     which is finite at the origin for any coefficients. Inside a 1e-10
     window around x_j the removable singularity of f_j is replaced by its
-    limit weights[j]^{-1/2}. A point that is not >= 0, NaN included, raises
-    ValueError.
+    limit weights[j]^{-1/2}. A point that is not finite and >= 0, NaN
+    included, raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _domain_points(x, "Lagrange functions are", "x")
     flat = x.reshape(-1)
-    bad = flat[~(flat >= 0.0)]
-    if bad.size:
-        raise ValueError(f"Lagrange functions are defined on x >= 0, got x = {float(bad[0])!r}")
     nodes = mesh.nodes
     signs = np.where(np.arange(1, mesh.size + 1) % 2 == 0, 1.0, -1.0)
     terms = flat[:, None] - nodes
@@ -94,6 +91,16 @@ def lagrange_expansion(mesh: LaguerreMesh, coefficients, x) -> np.ndarray:
     rows, cols = np.nonzero(near)
     out[rows] += coefficients[cols] / flat[rows] / np.sqrt(mesh.weights[cols])
     return out.reshape(x.shape)
+
+
+def _domain_points(x, what: str, name: str) -> np.ndarray:
+    """x as a float array; its first point that is not finite and >= 0, NaN
+    included, raises ValueError naming it."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~((x >= 0.0) & (x < math.inf))]
+    if bad.size:
+        raise ValueError(f"{what} defined on finite {name} >= 0, got {name} = {float(bad[0])!r}")
+    return x
 
 
 def lagrange_function(mesh: LaguerreMesh, i: int, x: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import eigh_refined
-from .mesh import _node_values, build_mesh, lagrange_expansion, radial_form
+from .mesh import _domain_points, _node_values, build_mesh, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
 from .specfun import spherical_bessel_j
 
@@ -57,7 +57,7 @@ def build_position_calculus(size: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wavefunction_momentum(state: BoundState, p):
-    """Radial momentum wavefunction of the state, defined for any p >= 0.
+    """Radial momentum wavefunction of the state, defined for finite p >= 0.
 
     Between mesh points this is the full expansion
     sum_j C_j f_j(p/h) / (sqrt(h) p), evaluated for a scalar or an array of
@@ -74,11 +74,11 @@ def wavefunction_position(state: BoundState, r):
     R(r) = (-1)^l sqrt(2/pi) h^(3/2) sum_i C_i sqrt(l_i) x_i j_l(h x_i r).
     No smoothing is applied: beyond some radius the reconstruction develops
     rapid unphysical oscillations that only a larger mesh pushes outward.
+    A radius that is not finite and >= 0 raises ValueError naming it.
     """
     m = state.mesh
     h = m.scale
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    scalar = np.ndim(r) == 0
+    r_arr = np.atleast_1d(_domain_points(r, "the position wavefunction is", "r"))
     weights = state.coefficients * np.sqrt(m.weights) * m.nodes
     bess = spherical_bessel_j(state.l, np.outer(r_arr, h * m.nodes))
     out = (
@@ -87,7 +87,7 @@ def wavefunction_position(state: BoundState, r):
         * h**1.5
         * np.sum(bess * weights, axis=1)
     )
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def expval_momentum(state: BoundState, u) -> float:

@@ -171,34 +171,25 @@ def select_bound_states(
         first = np.flatnonzero(c)
         if first.size and c[first[0]] < 0.0:
             c = -c
-        states.append(
-            BoundState(
-                energy=float(energies[idx]),
-                coefficients=c,
-                n=len(states),
-                l=l,
-                mesh=mesh,
-            )
-        )
+        states.append(BoundState(float(energies[idx]), c, n=len(states), l=l, mesh=mesh))
     return states
 
 
 @lru_cache(maxsize=128)
 def _solve_cached(assemble, problem):
-    """The read-only full spectrum of ``assemble(problem)``, cached per
-    (assembler, problem) for the solvers of both spaces."""
-    spectrum, vectors = solve_spectrum(assemble(problem))
-    spectrum.setflags(write=False)
-    vectors.setflags(write=False)
-    return spectrum, vectors
+    """The bound states of ``assemble(problem)`` as a tuple, cached per
+    (assembler, problem) for the solvers of both spaces. The N x N
+    eigenvectors are dropped: a cached problem holds a few N-vectors."""
+    energies, vectors = solve_spectrum(assemble(problem))
+    window = problem.kinetic.bound_window()
+    return tuple(select_bound_states(energies, vectors, window, problem.mesh(), problem.l))
 
 
 def solve(problem: ProblemSpec) -> list[BoundState]:
     """Assemble, diagonalize and select the bound states of a problem.
 
-    Full spectra are cached per ProblemSpec, so repeated observable
-    evaluations on the same problem are free.
+    The bound states are cached per ProblemSpec, so a repeated solve of the
+    same problem is free; the full spectrum comes from ``solve_spectrum``.
     """
-    window = problem.kinetic.bound_window()  # a missing window fails before the solve
-    spectrum, vectors = _solve_cached(assemble_hamiltonian, problem)
-    return select_bound_states(spectrum, vectors, window, problem.mesh(), problem.l)
+    problem.kinetic.bound_window()  # a missing window fails before the solve
+    return list(_solve_cached(assemble_hamiltonian, problem))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,29 @@ def test_degenerate_spectrum_stays_orthonormal(spectrum, rotated):
     np.testing.assert_allclose(w, sorted(spectrum), rtol=0, atol=8 * EPS)
     assert np.abs(v.T @ v - np.eye(5)).max() <= 8 * EPS
     assert np.abs(a @ v - v * w).max() <= 16 * EPS
+
+
+def test_ascending_spectrum_skips_the_sort_bit_for_bit(monkeypatch):
+    a = _yukawa_hamiltonian(size=200)
+    w, v = eigh_refined(a)
+    assert np.all(np.diff(w) > 0)
+    # a diff that is never positive sends the same call through the lexsort
+    monkeypatch.setattr(np, "diff", lambda x: np.zeros_like(x))
+    w_sorted, v_sorted = eigh_refined(a)
+    assert w.tobytes() == w_sorted.tobytes()
+    assert v.flags.c_contiguous and v.tobytes() == v_sorted.tobytes()
+
+
+def test_refinement_workspace_is_bounded():
+    # a1, vh, vl and four work buffers: about 7.4 matrices beyond the input
+    a = _yukawa_hamiltonian(size=200)
+    tracemalloc.start()
+    try:
+        eigh_refined(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * a.nbytes
 
 
 def _graded_mix():

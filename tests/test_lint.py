@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -62,3 +63,36 @@ def test_module_exports_exist(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert not missing, f"{name}.__all__ names undefined: {', '.join(missing)}"
+
+
+def _cache_size(decorator):
+    """The maxsize node of an ``lru_cache`` or ``cache`` decorator, the
+    decorator itself when it sets none, or None for another decorator."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return decorator
+    if name != "lru_cache":
+        return None
+    if not isinstance(decorator, ast.Call):
+        return decorator  # a bare lru_cache keeps 128 entries, but says nothing
+    sizes = [k.value for k in decorator.keywords if k.arg == "maxsize"] + decorator.args[:1]
+    return sizes[0] if sizes else decorator
+
+
+def test_caches_are_bounded():
+    # a cache holds what every distinct call returned, so an unbounded one
+    # grows with a scan; the BLAS symbol lookup has a single key
+    unbounded = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                size = _cache_size(decorator)
+                if size is None or f"{path.stem}.{node.name}" == "linalg._blas_thread_calls":
+                    continue
+                if not (isinstance(size, ast.Constant) and isinstance(size.value, int)):
+                    unbounded.append(f"{path.stem}.{node.name}")
+    assert not unbounded, f"caches without a finite maxsize: {', '.join(unbounded)}"
+

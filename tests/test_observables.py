@@ -192,6 +192,23 @@ class TestLagrangeExpansion:
         with pytest.raises(ValueError, match=re.escape(f"got x = {first!r}")):
             evaluate(gauss15_ground, point)
 
+    @pytest.mark.parametrize(
+        "evaluate, name, unit",
+        [(wavefunction_momentum, "x", "scale"), (wavefunction_position, "r", None)],
+        ids=["momentum", "position"],
+    )
+    @pytest.mark.parametrize(
+        "point",
+        [math.inf, math.nan, -1.0, -math.inf, [0.5, math.inf, -1.0], np.array([1.0, math.nan, 2.0])],
+    )
+    def test_point_not_finite_and_nonnegative_is_named(self, gauss15_ground, evaluate, name, unit, point):
+        # every point must be finite and >= 0; the error names the first other one
+        first = next(v for v in np.ravel(point) if not 0.0 <= v < math.inf)
+        if unit:
+            first /= getattr(gauss15_ground.mesh, unit)
+        with pytest.raises(ValueError, match=re.escape(f"got {name} = {float(first)!r}")):
+            evaluate(gauss15_ground, point)
+
 
 class TestWavefunctions:
     def test_momentum_values_at_mesh_points(self, gauss15_ground):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +243,35 @@ class TestConvergenceBehavior:
         e20 = solve(gauss15(size=20))[0].energy
         e50 = solve(gauss15(size=50))[0].energy
         assert abs(e50 - e20) < abs(e20 - e10)
+
+
+class TestSolveCache:
+    def test_scan_retains_less_than_one_matrix(self):
+        # eight h values of a plateau scan: the cache keeps bound states,
+        # not one N x N eigenvector matrix per point
+        size = 200
+        solve(yukawa10(size=size, scale=0.5))  # the N=200 nodes and weights
+        solver_module._solve_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(8):
+                solve(yukawa10(size=size, scale=0.55 + 0.05 * k))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < size * size * 8
+
+    def test_repeated_solve_assembles_once(self, monkeypatch):
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return assemble_hamiltonian(problem)
+
+        monkeypatch.setattr(solver_module, "assemble_hamiltonian", counting)
+        problem = gauss15(size=30, scale=0.45)
+        first, second = solve(problem), solve(problem)
+        assert len(calls) == 1
+        assert [s.energy for s in first] == [s.energy for s in second]
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.coefficients, b.coefficients)
