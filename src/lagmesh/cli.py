@@ -78,23 +78,29 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_grid(text: str, cast):
-    """Grid syntax: either 'a,b,c' or 'start:stop:count'."""
+def _parse_grid(text: str, cast, key: str = "grid"):
+    """Grid syntax: either 'a,b,c' or 'start:stop:count', of finite strictly
+    increasing points; errors name the config key."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigurationError(f"grid must be 'start:stop:count', got {text!r}")
+            raise ConfigurationError(f"{key} must be 'start:stop:count', got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ConfigurationError(f"grid count must be >= 1, got {count}")
+            raise ConfigurationError(f"{key} count must be >= 1, got {count}")
         step = (stop - start) / (count - 1) if count > 1 else 0.0
         values = [cast(start + i * step) for i in range(count)]
+        ends = [start, stop]  # an infinite end makes NaN points: name the end
     else:
         values = [cast(v) for v in text.split(",") if v.strip()]
+        ends = []
     if not values:
-        raise ConfigurationError(f"grid is empty: {text!r}")
+        raise ConfigurationError(f"{key} is empty: {text!r}")
+    bad = [v for v in ends + values if not math.isfinite(v)]
+    if bad:
+        raise ConfigurationError(f"{key} points must be finite, got {bad[0]!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigurationError(f"grid must be strictly increasing: {text!r}")
+        raise ConfigurationError(f"{key} must be strictly increasing: {text!r}")
     return values
 
 
@@ -132,11 +138,13 @@ class RunConfig:
         self.scale = float(raw["mesh.h"]) if "mesh.h" in raw else None
         self.scale_r = float(raw["mesh.h_r"]) if "mesh.h_r" in raw else None
         self.table = int(raw.get("run.table", 0))
-        self.scan_h = _parse_grid(raw["scan.h"], float) if "scan.h" in raw else None
-        self.scan_n = _parse_grid(raw["scan.N"], int) if "scan.N" in raw else None
+        self.scan_h = _parse_grid(raw["scan.h"], float, "scan.h") if "scan.h" in raw else None
+        self.scan_n = _parse_grid(raw["scan.N"], int, "scan.N") if "scan.N" in raw else None
         self.wave_space = raw.get("wave.space", "momentum")
-        self.wave_grid = _parse_grid(raw["wave.grid"], float) if "wave.grid" in raw else None
-        # the grid increases strictly, so its first point is the smallest
+        self.wave_grid = (
+            _parse_grid(raw["wave.grid"], float, "wave.grid") if "wave.grid" in raw else None
+        )
+        # the grid is finite and increases strictly, so its first point is the smallest
         if self.wave_grid is not None and self.wave_grid[0] < 0.0:
             raise ConfigurationError(
                 f"wave.grid points must be >= 0, got {self.wave_grid[0]!r}"

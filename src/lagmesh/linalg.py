@@ -28,16 +28,27 @@ The scaling is exact, and it keeps every split grid inside the double range.
 Its limit: an eigenvalue below about 2^-1022 max|A| is accurate only to
 eps ||A||, not relatively, because its products underflow after the scaling.
 
-A call makes 10 double GEMMs: in each of its two rounds, three for the split
-product and one each for V^T R and V C. The eigenvalues are the Rayleigh
-quotients of round 2, taken of the vectors after round 1. Their error is of
-order |C_2|^2 ||A||, with C_2 the correction of round 2 (at most 5.6e-17 at
-Yukawa N = 400), far below the floor of the split product, so the final
-vectors need no product of their own. A call holds seven N x N arrays
-besides its input: A1, vh, vl and four work buffers, which every step writes
-into with ``out=``. The tail A2 = 2^-e A - A1 is rebuilt, flushed, in a work
-buffer in each round. Strictly ascending eigenvalues need no sort, and vh is
-returned without a copy.
+A window picks the k pairs to refine: those whose LAPACK eigenvalue lies in
+it, widened by 1e-10 ||A||_2, far above LAPACK's error (at most
+5.9e-15 ||A||_2 on the solver's matrices at N = 10-400). Only those columns
+V enter the split product; U^T R and U C take the whole basis U, LAPACK's
+vectors with the refined columns written back after round 1, and the gap to
+an unrefined pair is taken at its LAPACK eigenvalue. A pair's correction
+needs no other refined pair, so on 42 solver matrices a windowed pair's
+eigenvalue equals the full refinement's bit for bit, and its vector agrees
+within 1/128 ulp. The full window, k = N and U = V, is the same algorithm.
+
+A call makes 10 double GEMMs of N x N by N x k, five per round: three for
+the split product, one each for U^T R and U C. The eigenvalues are the
+Rayleigh quotients of round 2, of the vectors after round 1. Their error is
+of order |C_2|^2 ||A||, with C_2 the correction of round 2 (at most 5.6e-17
+at Yukawa N = 400), far below the floor of the split product, so the final
+vectors need no product of their own. Every step writes with ``out=`` into
+a fixed workspace besides the input: with a full window seven N x N arrays
+(A1, vh, vl and four work buffers, one of which holds the tail
+A2 = 2^-e A - A1, rebuilt and flushed in each round); with a narrow one
+LAPACK's basis, A1 and A2, and N x k for the rest. Strictly ascending
+eigenvalues need no sort, and vh is returned without a copy.
 
 Momentum-space eigenvectors of a Gaussian potential decay like a Gaussian,
 and their tails reach the subnormal range. A GEMM multiplies pairs of such tails, and every
@@ -58,6 +69,7 @@ matrices at once can hold OpenBLAS at one thread per solving thread with
 """
 
 import ctypes
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -68,6 +80,7 @@ from .errors import NumericalError
 __all__ = ["eigh_refined"]
 
 _DEGENERACY_GUARD = 1e-9  # relative gap below which vector mixing is skipped
+_WINDOW_MARGIN = 1e-10  # a window's widening, relative to ||A||_2: above LAPACK's error
 _FLUSH = 2.0**-511  # GEMM factors below this are zeroed: products of two stay normal
 _FLUSH_GUARD = -400  # the flush needs every row of the scaled A to reach 2^-400
 # (setter, getter) of the OpenBLAS thread count: the suffixed names of the
@@ -78,62 +91,86 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
-def eigh_refined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric a.
+def eigh_refined(
+    a: np.ndarray, window: tuple[float, float] = (-math.inf, math.inf)
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues (ascending), orthonormal eigenvectors and ||a||_2 of symmetric a.
 
-    Exact degeneracies are ordered by the index of each vector's
-    largest-magnitude entry, so the output is reproducible.
+    LAPACK's ``numpy.linalg.eigh`` finds every pair; the pairs whose LAPACK
+    eigenvalue lies in the window, widened by _WINDOW_MARGIN ||a||_2, get
+    two rounds of residual-form refinement and are returned. ||a||_2 is the
+    largest |eigenvalue|, refined where refined. Exact degeneracies are
+    ordered by the index of each vector's largest-magnitude entry, so the
+    output is reproducible.
 
-    Starts from ``numpy.linalg.eigh`` and applies two rounds of residual-form
-    refinement. Each round takes the residual R = A V - V diag(d) at the
-    Rayleigh quotients d from the split product, forms B = V^T R in double
-    BLAS, and corrects V by V C in double BLAS with C_ij = B_ij / (d_j - d_i);
-    pairs closer than the degeneracy guard are not mixed. Each round squares
-    the eigenpair error, so two rounds reach the floor of the split product
-    from any LAPACK start. The returned eigenvalues are the Rayleigh quotients
-    of round 2, rounded once to double; an eigenvalue beyond the double range
-    is a ``NumericalError``. GEMM factors below 2^-511 are zeroed when every
-    row of the scaled A reaches 2^-400 (see the module docstring).
+    A round takes the residual R = A V - V diag(d) of the refined columns V
+    at their Rayleigh quotients d from the split product, forms B = U^T R
+    against the basis U in double BLAS, and corrects V by U C with
+    C_ij = B_ij / (d_j - d_i); pairs closer than the degeneracy guard are
+    not mixed. Each round squares the eigenpair error, so two rounds reach
+    the floor of the split product from any LAPACK start. The eigenvalues
+    are round 2's Rayleigh quotients, rounded once to double; one beyond
+    the double range is a ``NumericalError``. GEMM factors below 2^-511 are
+    zeroed when every row of the scaled A reaches 2^-400 (see the module
+    docstring).
     """
     a = np.asarray(a, dtype=float)  # the split grids assume 53-bit doubles
-    _, vh = np.linalg.eigh(a)
+    w, basis = np.linalg.eigh(a)
+    n = len(a)
+    lower, upper = window
+    margin = _WINDOW_MARGIN * max(-w[0], w[-1])
+    first = 0 if lower == -math.inf else int(np.searchsorted(w, lower - margin, "left"))
+    stop = n if upper == math.inf else int(np.searchsorted(w, upper + margin, "right"))
+    stop = max(first, stop)
+    refined, k = slice(first, stop), stop - first
     exponent = np.frexp(max(a.max(), -a.min()))[1]
-    bits = (53 - (len(a) - 1).bit_length()) // 2  # N 4^bits <= 2^53
-    v1, t, p1, p2 = (np.empty_like(a) for _ in range(4))
-    np.ldexp(a, -exponent, out=p2)
-    top = _top(p2, axis=1)
+    head = np.ldexp(w, -exponent)  # every d_i: LAPACK's, refined ones replaced
+    tail = np.zeros(n)
+    bits = (53 - (n - 1).bit_length()) // 2  # N 4^bits <= 2^53
+    v1, t, p1, p2 = (np.empty((n, k)) for _ in range(4))
+    a2 = p2 if k == n else np.empty_like(a)  # the split tail
+    np.ldexp(a, -exponent, out=a2)
+    top = _top(a2, axis=1)
     theta = _FLUSH if top.min() > _FLUSH_GUARD else 0.0  # max|row| >= 2^(top - 1)
-    a1 = _head(p2, top, bits, np.empty_like(a))
-    _flush(vh, theta)
+    a1 = _head(a2, top, bits, np.empty_like(a))
+    _flush(basis, theta)
+    vh = basis if k == n else basis[:, refined].copy()
     vl = np.zeros_like(vh)
-    for _ in range(2):
-        d_head, d_tail = _rayleigh(a, exponent, a1, vh, vl, bits, theta, v1, t, p1, p2)
+    for step in range(2 if k else 0):
+        d_head, d_tail = _rayleigh(a, exponent, a1, a2, vh, vl, bits, theta, v1, t, p1, p2)
+        head[refined] = d_head
+        tail[refined] = d_tail
         np.multiply(vh, d_tail, out=t)
         p1 -= t  # the residual at d
         _flush(p1, theta)
-        np.matmul(vh.T, p1, out=p2)  # B
-        np.subtract(d_head[None, :], d_head[:, None], out=t)  # the gaps
-        np.subtract(d_tail[None, :], d_tail[:, None], out=p1)
+        np.matmul(basis.T, p1, out=p2)  # B
+        np.subtract(d_head[None, :], head[:, None], out=t)  # the gaps
+        np.subtract(d_tail[None, :], tail[:, None], out=p1)
         t += p1
-        scale = np.max(np.abs(d_head + d_tail)) or 1.0
+        scale = np.max(np.abs(head + tail)) or 1.0
         safe = np.abs(t, out=p1) > _DEGENERACY_GUARD * scale  # never i = j: the gap is 0
         p1.fill(0.0)
         np.divide(p2, t, out=p1, where=safe)  # C
         del safe
         _flush(p1, theta)
-        vl += np.matmul(vh, p1, out=t)
+        vl += np.matmul(basis, p1, out=t)
         vh, p1 = _normalize(vh, vl, v1, t, p1, p2), vh
         _flush(vh, theta)
         _flush(vl, theta)
+        if step == 0 and k == n:
+            basis = vh  # the refined vectors are the whole basis
+        elif step == 0:
+            basis[:, refined] = vh  # the refined columns join the basis
     with np.errstate(over="ignore"):
-        d = np.ldexp(d_head + d_tail, exponent)
-    if not np.all(np.isfinite(d)):
+        d = np.ldexp(head[refined] + tail[refined], exponent)
+        norm = float(np.ldexp(np.max(np.abs(head + tail)), exponent))
+    if not (np.all(np.isfinite(d)) and math.isfinite(norm)):
         raise NumericalError("an eigenvalue lies beyond the double range")
     if np.all(np.diff(d) > 0):  # LAPACK's order, with no tie to break
-        return d, vh
-    del a1, vl, v1, t, p1, p2  # the sorted vectors reuse this memory: a lower peak RSS
+        return d, vh, norm
+    del basis, a1, a2, vl, v1, t, p1, p2  # the sorted vectors reuse this memory: a lower peak RSS
     order = np.lexsort((np.argmax(np.abs(vh), axis=0), d))
-    return d[order], np.ascontiguousarray(vh[:, order])
+    return d[order], np.ascontiguousarray(vh[:, order]), norm
 
 
 def _top(x: np.ndarray, axis: int) -> np.ndarray:
@@ -161,21 +198,22 @@ def _head(x: np.ndarray, top, bits: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rayleigh(a, exponent, a1, vh, vl, bits, theta, v1, t, p1, p2):
+def _rayleigh(a, exponent, a1, a2, vh, vl, bits, theta, v1, t, p1, p2):
     """Split product P = A V, Rayleigh quotients d and residual P - V d_head.
 
     Writes the head of vh into v1, the flushed tail A2 = 2^-exponent a - a1
-    into p2 and the residual at d_head (not yet at d) into p1, and returns d
-    as the unevaluated sum d_head + d_tail.
+    into a2 (which may be p2: A2 is dead once p2 is written) and the
+    residual at d_head (not yet at d) into p1, and returns d as the
+    unevaluated sum d_head + d_tail.
     """
     norm2 = np.sum(np.multiply(vh, vh, out=t), axis=0)
     _head(vh, _top(vh, axis=0), bits, v1)
     np.subtract(vh, v1, out=t)
     t += vl
-    np.ldexp(a, -exponent, out=p2)
-    p2 -= a1
-    _flush(p2, theta)
-    np.matmul(p2, vh, out=p1)
+    np.ldexp(a, -exponent, out=a2)
+    a2 -= a1
+    _flush(a2, theta)
+    np.matmul(a2, vh, out=p1)
     np.matmul(a1, t, out=p2)
     p2 += p1
     np.matmul(a1, v1, out=p1)  # exact: bits + bits + log2(N) <= 53

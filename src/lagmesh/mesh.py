@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .specfun import laguerre_weighted, laguerre_weights, laguerre_zeros
+from .specfun import _domain_points, laguerre_weighted, laguerre_weights, laguerre_zeros
 
 __all__ = [
     "LaguerreMesh",
@@ -91,16 +91,6 @@ def lagrange_expansion(mesh: LaguerreMesh, coefficients, x) -> np.ndarray:
     rows, cols = np.nonzero(near)
     out[rows] += coefficients[cols] / flat[rows] / np.sqrt(mesh.weights[cols])
     return out.reshape(x.shape)
-
-
-def _domain_points(x, what: str, name: str) -> np.ndarray:
-    """x as a float array; its first point that is not finite and >= 0, NaN
-    included, raises ValueError naming it."""
-    x = np.asarray(x, dtype=float)
-    bad = x[~((x >= 0.0) & (x < math.inf))]
-    if bad.size:
-        raise ValueError(f"{what} defined on finite {name} >= 0, got {name} = {float(bad[0])!r}")
-    return x
 
 
 def lagrange_function(mesh: LaguerreMesh, i: int, x: float) -> float:

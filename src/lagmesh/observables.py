@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import eigh_refined
-from .mesh import _domain_points, _node_values, build_mesh, lagrange_expansion, radial_form
+from .mesh import _node_values, build_mesh, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
-from .specfun import spherical_bessel_j
+from .specfun import _domain_points, spherical_bessel_j
 
 __all__ = [
     "build_position_calculus",
@@ -44,7 +44,7 @@ def build_position_calculus(size: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     sqrt(eigenvalues) / h. The spectrum must be nonnegative up to quadrature
     error; eigenvalues inside a 1e-9 window below zero are clamped to zero.
     """
-    eigenvalues, transform = eigh_refined(radial_form(build_mesh(size, 1.0), l))
+    eigenvalues, transform, _ = eigh_refined(radial_form(build_mesh(size, 1.0), l))
     if np.any(eigenvalues < -_CLAMP):
         raise NumericalError(
             f"r^2 spectrum dips to {eigenvalues.min():.3e}, below the -1e-9 "

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .specfun import MAX_DEGREE, _bessel_series, legendre_p, legendre_q
+from .specfun import MAX_DEGREE, _bessel_series, _domain_points, legendre_p, legendre_q
 
 __all__ = [
     "GaussianPotential",
@@ -47,10 +47,11 @@ def vft_yukawa(k: float, a: float, b: float) -> float:
     return -a / (2.0 * math.pi**2 * (b * b + k * k))
 
 
-def _momenta(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """p and p' as float arrays, which must share one shape."""
-    p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
+def _momenta(p, q, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """p and p' as float arrays, which must share one shape; the first
+    momentum that is not finite and >= 0 raises ValueError naming it."""
+    p_arr = _domain_points(p, what, "p")
+    q_arr = _domain_points(q, what, "p'")
     if p_arr.shape != q_arr.shape:
         raise ValueError(f"p and p' differ in shape: {p_arr.shape} vs {q_arr.shape}")
     return p_arr, q_arr
@@ -72,12 +73,15 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     tests/test_potentials.py), the worst |dV|/max|V| over the sampled pairs
     is 1.3e-15 for l <= 8, 2.3e-15 for l <= 18 and 9.4e-15 for l <= 26.
     Past l = 26 = ``specfun.MAX_DEGREE`` the series' e^y overflows below
-    the branch point (709 < 27^2), so other degrees raise ``ValueError``.
+    the branch point (709 < 27^2), so other degrees raise ``ValueError``,
+    as does the first momentum that is not finite and >= 0, by name.
     """
     if not 0 <= l <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {l}")
-    p_arr, q_arr = _momenta(p, q)
-    y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
+    p_arr, q_arr = _momenta(p, q, "the Gaussian kernel is")
+    with np.errstate(over="ignore"):  # an infinite y or gap gives the limit 0
+        y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
+        gap = np.atleast_1d((p_arr - q_arr) ** 2 / (4.0 * b * b))
     damped = np.empty_like(y)  # e^(-y) i_l(y)
     small = y < max(40.0, float(l * l))
     damped[small] = np.exp(-y[small]) * _bessel_series(l, y[small], 1.0)
@@ -87,7 +91,6 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
         a_k = float(math.factorial(l + k) // (2**k * math.factorial(k) * math.factorial(l - k)))
         acc = acc * u + (-a_k if k % 2 else a_k)
     damped[~small] = 0.5 * u * acc
-    gap = np.atleast_1d((p_arr - q_arr) ** 2 / (4.0 * b * b))
     out = -a / (2.0 * math.sqrt(math.pi) * b**3) * (np.exp(-gap) * damped)
     return float(out[0]) if p_arr.ndim == 0 else out
 
@@ -106,30 +109,38 @@ def partial_wave_yukawa(l: int, p, q, a: float, b: float):
 
     Where d > 2^500, p p' = 0 and underflow included, the kernel is its
     p p' -> 0 limit: -2a/(pi (b^2 + p^2 + p'^2)) for l = 0, which it equals
-    there to rounding, and 0 for l >= 1, below 2^-500 |V_0|.
+    there to rounding, and 0 for l >= 1, below 2^-500 |V_0|. Where
+    d < 2^-1000, p p' overflow included, p p' > 2^999 b^2, so |V| and the
+    same limit are both below 2^-990 a / b^2, and the limit is taken. The
+    first momentum that is not finite and >= 0 raises ``ValueError``
+    naming it.
     """
     if b <= 0.0:
         raise ConfigurationError(
             "Yukawa screening mass must be positive; b = 0 puts the Q_l "
             "argument on its logarithmic singularity at p = p'"
         )
-    p_arr, q_arr = _momenta(p, q)
+    p_arr, q_arr = _momenta(p, q, "the Yukawa kernel is")
     # grouping keeps V_l(p, p') == V_l(p', p) bit for bit
-    pq = p_arr * q_arr
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pq = p_arr * q_arr
         offset = (b * b + (p_arr - q_arr) ** 2) / (2.0 * pq)
-    far = ~(offset <= _FAR_OFFSET)
-    any_far = far.any()
-    if any_far:
-        pq, offset = np.where(far, 1.0, pq), np.where(far, 1.0, offset)
+    limited = ~((offset >= _NEAR_OFFSET) & (offset <= _FAR_OFFSET))
+    any_limited = limited.any()
+    if any_limited:
+        pq, offset = np.where(limited, 1.0, pq), np.where(limited, 1.0, offset)
     out = -a / (math.pi * pq) * legendre_q(l, offset)
-    if any_far:
-        limit = -2.0 * a / (math.pi * (b * b + (p_arr * p_arr + q_arr * q_arr))) if l == 0 else 0.0
-        out = np.where(far, limit, out)
+    if any_limited:
+        limit = 0.0
+        if l == 0:
+            with np.errstate(over="ignore"):
+                limit = -2.0 * a / (math.pi * (b * b + (p_arr * p_arr + q_arr * q_arr)))
+        out = np.where(limited, limit, out)
     return float(out) if out.ndim == 0 else out
 
 
 _FAR_OFFSET = 2.0**500  # beyond it the Yukawa kernel is its p p' -> 0 limit
+_NEAR_OFFSET = 2.0**-1000  # below it p p' > 2^999 b^2 and |V| < 2^-990 a / b^2
 
 
 _REL_TOL = 1e-12  # agreement of successive quadrature orders, relative to the estimate
@@ -251,7 +262,7 @@ class CustomPotential:
         fourier = self.fourier
 
         def evaluate(p, q):
-            p_arr, q_arr = _momenta(p, q)
+            p_arr, q_arr = _momenta(p, q, "a custom kernel is")
             pairs = zip(p_arr.ravel().tolist(), q_arr.ravel().tolist())
             values = [partial_wave_numeric(l, pp, qq, fourier) for pp, qq in pairs]
             return np.array(values, dtype=float).reshape(p_arr.shape)

@@ -12,6 +12,7 @@ kinetic operator's bound-state window. ``solve_spectrum`` and
 configuration-space solver turns its matrix into bound states the same way.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,20 +132,26 @@ def _raise_at_first_failure(kernel, momenta: np.ndarray, rows, cols) -> None:
             )
 
 
-def solve_spectrum(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and orthonormal eigenvectors of a mesh H.
+def solve_spectrum(
+    hamiltonian: np.ndarray, window: tuple[float, float] = (-math.inf, math.inf)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a mesh H.
 
-    A non-finite entry is refused before the eigensolver sees it, and a
-    non-finite eigenpair or a residual above 1e-11 * ||H|| after it. The
-    order is ``eigh_refined``'s, reproducible through exact degeneracies.
+    With no window, all N eigenpairs. With one, only the pairs that
+    ``eigh_refined`` refines: those whose LAPACK eigenvalue lies in the
+    window widened by its margin, so a pair just outside may be among them;
+    ``select_bound_states`` applies the exact window. A non-finite entry is
+    refused before the eigensolver sees it, and a non-finite eigenpair or a
+    residual above 1e-11 * ||H||_2 after it. The order is ``eigh_refined``'s,
+    reproducible through exact degeneracies.
     """
     if not np.all(np.isfinite(hamiltonian)):
         raise NumericalError("Hamiltonian contains non-finite entries")
-    energies, vectors = eigh_refined(hamiltonian)
+    energies, vectors, norm = eigh_refined(hamiltonian, window)
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(vectors))):
         raise NumericalError("eigensolver returned non-finite eigenpairs")
-    residual = np.abs(hamiltonian @ vectors - vectors * energies).max()
-    bound = 1e-11 * np.abs(energies).max()  # ||H||_2 of a symmetric H, without an SVD
+    residual = np.abs(hamiltonian @ vectors - vectors * energies).max(initial=0.0)
+    bound = 1e-11 * norm  # ||H||_2 from the eigenvalues, without an SVD
     if not residual <= bound:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds 1e-11 * ||H|| = {bound:.3e}"
@@ -178,10 +185,12 @@ def select_bound_states(
 @lru_cache(maxsize=128)
 def _solve_cached(assemble, problem):
     """The bound states of ``assemble(problem)`` as a tuple, cached per
-    (assembler, problem) for the solvers of both spaces. The N x N
+    (assembler, problem) for the solvers of both spaces. Only the pairs
+    near the kinetic operator's window are refined, and their N x k
     eigenvectors are dropped: a cached problem holds a few N-vectors."""
-    energies, vectors = solve_spectrum(assemble(problem))
+    hamiltonian = assemble(problem)
     window = problem.kinetic.bound_window()
+    energies, vectors = solve_spectrum(hamiltonian, window)
     return tuple(select_bound_states(energies, vectors, window, problem.mesh(), problem.l))
 
 
@@ -189,7 +198,8 @@ def solve(problem: ProblemSpec) -> list[BoundState]:
     """Assemble, diagonalize and select the bound states of a problem.
 
     The bound states are cached per ProblemSpec, so a repeated solve of the
-    same problem is free; the full spectrum comes from ``solve_spectrum``.
+    same problem is free; the full spectrum comes from ``solve_spectrum``
+    called with no window.
     """
     problem.kinetic.bound_window()  # a missing window fails before the solve
     return list(_solve_cached(assemble_hamiltonian, problem))

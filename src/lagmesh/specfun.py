@@ -25,6 +25,16 @@ _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split keeps 26 bits in the head
 _DD_RESCALE = 2.0**500
 
 
+def _domain_points(x, what: str, name: str) -> np.ndarray:
+    """x as a float array; its first point that is not finite and >= 0, NaN
+    included, raises ValueError naming it."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~((x >= 0.0) & (x < math.inf))]
+    if bad.size:
+        raise ValueError(f"{what} defined on finite {name} >= 0, got {name} = {float(bad[0])!r}")
+    return x
+
+
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a = head + tail, each with at most 26 significant bits (Dekker)."""
     t = _SPLITTER * a
@@ -176,7 +186,8 @@ def laguerre_weighted(zeros, x):
         L_N(x) = (-1)^N / N! prod_k (x - x_k).
 
     The product, N! and exp(-x/2) are carried as in ``laguerre_weights``, so
-    the value stays representable for every N <= 512 at any finite x. Each
+    the value stays representable for every N <= 512 at any finite x >= 0;
+    the first other point raises ``ValueError`` naming it. Each
     point takes its own product, so an array call equals the scalar calls
     bit for bit. The rounding of the zeros sets the error: against 60-digit
     values at N = 200-512 it is at most 1.1e-16 x_k / |x - x_k| relative
@@ -184,7 +195,7 @@ def laguerre_weighted(zeros, x):
     zeros.
     """
     zeros = np.asarray(zeros, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _domain_points(x, "L_N(x) exp(-x/2) is", "x")
     flat = x_arr.reshape(-1)
     product, exponent = _frexp_product(flat[:, None] - zeros)
     factorial_mant, factorial_exp = _factorial(zeros.size)
@@ -283,7 +294,8 @@ def _q_ratio_product(l: int, d: np.ndarray) -> np.ndarray:
 
 
 def spherical_bessel_j(l: int, x):
-    """Spherical Bessel function j_l(x) for x >= 0, scalar or array.
+    """Spherical Bessel function j_l(x) for finite x >= 0, scalar or array;
+    the first other point raises ``ValueError`` naming it.
 
     The ascending recurrence is stable only for x >= l; below that the power
     series around the origin is summed instead, which avoids the catastrophic
@@ -291,11 +303,9 @@ def spherical_bessel_j(l: int, x):
     """
     if l < 0:
         raise ValueError(f"order must be >= 0, got {l}")
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _domain_points(x, "j_l is", "x")
     scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr).astype(float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("j_l is only evaluated for x >= 0")
+    x_arr = np.atleast_1d(x_arr)
     out = np.empty_like(x_arr)
     small = x_arr < l + 1.0
     if np.any(small):

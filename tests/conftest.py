@@ -1,5 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lagmesh import (
     GaussianPotential,
@@ -45,3 +49,24 @@ def assert_ulp(value: float, printed: str, units: float = 2.0):
     assert value == pytest.approx(float(printed), abs=tol), (
         f"{value!r} vs printed {printed} (tol {tol:g})"
     )
+
+
+# NaN, the infinities, negatives, zeros, subnormals and huge values, then any double
+EDGE_POINTS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1e300, 1.7e308]
+    ),
+    st.floats(),
+)
+
+
+def assert_finite_or_named(call, points):
+    """call() is finite when every (name, point) is finite and >= 0, and
+    otherwise raises ValueError naming the first point that is not."""
+    bad = [(name, x) for name, x in points if not 0.0 <= x < math.inf]
+    if bad:
+        name, x = bad[0]
+        with pytest.raises(ValueError, match=re.escape(f"got {name} = {x!r}")):
+            call()
+    else:
+        assert np.all(np.isfinite(call()))

@@ -457,6 +457,28 @@ class TestWavefunctionTask:
         assert "wave.grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, named",
+        [("0.5,nan,1", "nan"), ("0.5,inf", "inf"), ("-inf,0.5", "-inf"), ("0.5:inf:3", "inf")],
+    )
+    def test_non_finite_grid_point_is_refused_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, grid, named
+    ):
+        def must_not_run(problem):
+            raise AssertionError("the wavefunction task solved before checking wave.grid")
+
+        monkeypatch.setattr(cli, "solve", must_not_run)
+        out = tmp_path / "wave.csv"
+        cfg = tmp_path / "wave.cfg"
+        cfg.write_text(
+            "problem.g = 10.0\nproblem.potential = yukawa\nmesh.N = 20\nmesh.h = 0.8\n"
+            f"run.task = wavefunction\nrun.out = {out}\nwave.grid = {grid}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: wave.grid points must be finite, got {named}" in err
+        assert not out.exists()
+
 
 class TestCompareTask:
     def test_gaussian_benchmark_agreement(self, tmp_path):

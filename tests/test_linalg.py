@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import DIMENSIONLESS, gauss15, yukawa10
+from conftest import DIMENSIONLESS, gauss15, salpeter_gauss, yukawa10
 from lagmesh import ProblemSpec, YukawaPotential, assemble_hamiltonian
 from lagmesh.configspace import assemble_config_hamiltonian
 from lagmesh.errors import NumericalError
@@ -41,7 +42,7 @@ def test_matches_correctly_rounded_40_digit_spectrum(build):
     a = build()
     reference, reference_vectors = _spectrum_40_digits(a)
 
-    w, v = eigh_refined(a)
+    w, v, _ = eigh_refined(a)
 
     np.testing.assert_array_equal(w, reference)
     reference_vectors *= np.sign(np.sum(reference_vectors * v, axis=0))
@@ -68,7 +69,7 @@ def test_correctly_rounded_where_longdouble_is_double(build, monkeypatch):
     a = build()
     reference, _ = _spectrum_40_digits(a)
     monkeypatch.setattr(np, "longdouble", np.float64)
-    w, _ = eigh_refined(a)
+    w, *_ = eigh_refined(a)
     np.testing.assert_array_equal(w, reference)
 
 
@@ -85,7 +86,7 @@ def test_rayleigh_quotients_and_norms_at_table_size(build):
     # every double is an integer multiple of 2^-1074
     a_ints = np.array([int(Fraction(x) * 2**1074) for x in a.flat], dtype=object)
     a_ints = a_ints.reshape(a.shape)
-    w, v = eigh_refined(a)
+    w, v, _ = eigh_refined(a)
     for k in [0, 1, 2, 3, len(a) - 1]:
         quotient, norm2 = _exact_quotient_and_norm(a_ints, v[:, k])
         assert abs(Fraction(w[k]) - quotient) <= Fraction(np.spacing(abs(w[k]))), f"eigenpair {k}"
@@ -102,7 +103,7 @@ def test_degenerate_spectrum_stays_orthonormal(spectrum, rotated):
         a = q @ a @ q.T
         a = (a + a.T) / 2
     with np.errstate(divide="raise", invalid="raise"):
-        w, v = eigh_refined(a)
+        w, v, _ = eigh_refined(a)
     assert np.all(np.isfinite(v))
     np.testing.assert_allclose(w, sorted(spectrum), rtol=0, atol=8 * EPS)
     assert np.abs(v.T @ v - np.eye(5)).max() <= 8 * EPS
@@ -111,11 +112,11 @@ def test_degenerate_spectrum_stays_orthonormal(spectrum, rotated):
 
 def test_ascending_spectrum_skips_the_sort_bit_for_bit(monkeypatch):
     a = _yukawa_hamiltonian(size=200)
-    w, v = eigh_refined(a)
+    w, v, _ = eigh_refined(a)
     assert np.all(np.diff(w) > 0)
     # a diff that is never positive sends the same call through the lexsort
     monkeypatch.setattr(np, "diff", lambda x: np.zeros_like(x))
-    w_sorted, v_sorted = eigh_refined(a)
+    w_sorted, v_sorted, _ = eigh_refined(a)
     assert w.tobytes() == w_sorted.tobytes()
     assert v.flags.c_contiguous and v.tobytes() == v_sorted.tobytes()
 
@@ -130,6 +131,72 @@ def test_refinement_workspace_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * a.nbytes
+
+
+def _windowed_sweep():
+    """(id, H, bound-state window) of 42 solver matrices, N = 10 to 400."""
+    cases = []
+    for n in (10, 30, 50, 100, 200, 400):
+        problems = [yukawa10(size=n, scale=0.3), yukawa10(size=n, scale=0.8)]
+        problems += [gauss15(l=0, size=n), gauss15(l=1, size=n), salpeter_gauss(size=n)]
+        for problem in problems:
+            cases.append((problem, assemble_hamiltonian))
+        for l in (0, 1):
+            problem = ProblemSpec(DIMENSIONLESS, YukawaPotential(10.0, 1.0), l, n, 0.05)
+            cases.append((problem, assemble_config_hamiltonian))
+    return [
+        (f"{assemble.__name__}-{p.potential}-{p.kinetic}-l{p.l}-N{p.size}-h{p.scale}",
+         assemble(p), p.kinetic.bound_window())
+        for p, assemble in cases
+    ]
+
+
+def _inside(w, window):
+    return (w > window[0]) & (w < window[1])
+
+
+def test_window_refines_the_full_paths_selected_pairs_bit_for_bit():
+    sweep = _windowed_sweep()
+    assert len(sweep) >= 40
+    for name, a, window in sweep:
+        w, v, norm = eigh_refined(a)
+        w_window, v_window, norm_window = eigh_refined(a, window)
+        full, windowed = _inside(w, window), _inside(w_window, window)
+        assert full.sum() == windowed.sum(), name
+        assert w[full].tobytes() == w_window[windowed].tobytes(), name
+        selected, selected_window = v[:, full], v_window[:, windowed]
+        selected_window *= np.sign(np.sum(selected * selected_window, axis=0))
+        ulp = np.spacing(np.abs(selected).max(axis=0))
+        assert np.all(np.abs(selected - selected_window) <= ulp), name
+        assert len(w_window) < len(a) or len(a) <= 10, name
+        assert norm_window == pytest.approx(norm, rel=1e-13), name
+
+
+def test_eigenvalue_at_the_window_edge_is_classified_as_the_full_path_does():
+    a = _yukawa_hamiltonian(size=200)
+    w, _, _ = eigh_refined(a)
+    lapack = np.linalg.eigvalsh(a)
+    k = int(np.flatnonzero(lapack[:5] != w[:5])[0])  # LAPACK is off by its error
+    edges = [w[k], np.nextafter(w[k], -math.inf), np.nextafter(w[k], math.inf)]
+    windows = [(-math.inf, e) for e in edges] + [(e, math.inf) for e in edges]
+    misread = 0
+    for window in windows:
+        w_window, _, _ = eigh_refined(a, window)
+        assert w_window[_inside(w_window, window)].tobytes() == w[_inside(w, window)].tobytes()
+        misread += _inside(lapack, window)[k] != _inside(w, window)[k]
+    assert misread  # without the margin, some window would drop or keep the wrong pair
+
+
+def test_narrow_window_works_in_three_matrices():
+    # LAPACK's basis, A1 and the A2 tail; the rest is N x k
+    a = _yukawa_hamiltonian(size=400)
+    tracemalloc.start()
+    try:
+        eigh_refined(a, (-math.inf, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * a.nbytes
 
 
 def _graded_mix():
@@ -157,7 +224,7 @@ def _subnormal():
     ids=["1x1", "zero", "near_overflow", "graded_1e300", "subnormal"],
 )
 def test_edge_matrices_agree_with_lapack(a):
-    w, v = eigh_refined(a)
+    w, v, _ = eigh_refined(a)
     reference = np.linalg.eigvalsh(a)
     norm = np.abs(reference).max()
     # np.spacing is EPS * norm for normal numbers and the subnormal grid below
@@ -172,7 +239,7 @@ def test_graded_matrix_is_not_flushed():
     a = np.diag([1e200, 1.0, 2.0])
     a[0, 1] = a[1, 0] = 1e90
     a[1, 2] = a[2, 1] = 0.5
-    w, _ = eigh_refined(a)
+    w, *_ = eigh_refined(a)
     # correctly rounded, from a 700-digit mpmath solve
     np.testing.assert_array_equal(w, [0.79289321881345248, 2.2071067811865475, 1e200])
 

@@ -42,6 +42,13 @@ def test_concurrency_stays_in_one_module(word, home):
     assert not hits, f"{word} outside {home}: {', '.join(hits)}"
 
 
+def test_vector_eigensolves_stay_in_linalg():
+    # every eigenvector solve goes through eigh_refined, which refines the
+    # pairs in its window, so LAPACK's eigh is called only there
+    hits = _hits("linalg.eigh(", ("linalg",))
+    assert not hits, f"LAPACK eigh outside linalg: {', '.join(hits)}"
+
+
 def test_public_names_are_documented():
     # every public name is shown in the README's code, in a span or a block
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

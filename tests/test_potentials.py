@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import EDGE_POINTS, assert_finite_or_named
 from lagmesh.errors import ConfigurationError
 from lagmesh.mesh import build_mesh
 from lagmesh.potentials import (
@@ -258,6 +259,18 @@ class TestKernelProperties:
         )
         assert partial_wave_yukawa(l_yukawa, p, q, 2.0, 1.5) == partial_wave_yukawa(
             l_yukawa, q, p, 2.0, 1.5
+        )
+
+    @given(st.integers(0, 26), EDGE_POINTS, EDGE_POINTS)
+    def test_gaussian_momentum_outside_the_domain_is_named(self, l, p, q):
+        assert_finite_or_named(
+            lambda: partial_wave_gaussian(l, p, q, 15.0, 1.0), [("p", p), ("p'", q)]
+        )
+
+    @given(st.integers(0, 26), EDGE_POINTS, EDGE_POINTS)
+    def test_yukawa_momentum_outside_the_domain_is_named(self, l, p, q):
+        assert_finite_or_named(
+            lambda: partial_wave_yukawa(l, p, q, 10.0, 1.0), [("p", p), ("p'", q)]
         )
 
     @given(momenta, momenta)

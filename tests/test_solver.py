@@ -20,6 +20,7 @@ from lagmesh import (
 )
 from lagmesh import solver as solver_module
 from lagmesh.errors import ConfigurationError, NumericalError
+from lagmesh.linalg import eigh_refined
 from lagmesh.mesh import build_mesh
 from lagmesh.potentials import partial_wave_gaussian
 
@@ -28,7 +29,7 @@ from lagmesh.potentials import partial_wave_gaussian
 def no_eigensolver(monkeypatch):
     """Fail the test if the solver reaches the eigensolver."""
 
-    def must_not_run(a):
+    def must_not_run(a, window):
         raise AssertionError("the eigensolver ran")
 
     monkeypatch.setattr(solver_module, "eigh_refined", must_not_run)
@@ -149,13 +150,13 @@ class TestSpectrum:
     @pytest.mark.parametrize("broken", ["energy", "vector"])
     def test_non_finite_eigenpair_refused(self, monkeypatch, broken):
         # a NaN residual compares False against any bound
-        def nan_eigensolver(a):
+        def nan_eigensolver(a, window):
             energies, vectors = np.linalg.eigh(a)
             if broken == "energy":
                 energies[1] = np.nan
             else:
                 vectors[0, 1] = np.nan
-            return energies, vectors
+            return energies, vectors, 3.0
 
         monkeypatch.setattr(solver_module, "eigh_refined", nan_eigensolver)
         with pytest.raises(NumericalError, match="non-finite eigenpairs"):
@@ -275,3 +276,29 @@ class TestSolveCache:
         assert [s.energy for s in first] == [s.energy for s in second]
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.coefficients, b.coefficients)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [yukawa10(size=120, scale=0.7), salpeter_gauss(size=60, scale=0.55)],
+        ids=["yukawa", "salpeter"],
+    )
+    def test_solve_refines_only_the_bound_window(self, monkeypatch, problem):
+        refined = []
+
+        def counting(a, window):
+            result = eigh_refined(a, window)
+            refined.append((window, len(result[0])))
+            return result
+
+        monkeypatch.setattr(solver_module, "eigh_refined", counting)
+        solver_module._solve_cached.cache_clear()
+        states = solve(problem)
+        window = problem.kinetic.bound_window()
+        [(used, count)] = refined
+        assert used == window and len(states) <= count < problem.size
+        energies, vectors = solve_spectrum(assemble_hamiltonian(problem))
+        full = select_bound_states(energies, vectors, window, problem.mesh(), problem.l)
+        assert [s.energy for s in states] == [s.energy for s in full]
+        for state, reference in zip(states, full):
+            ulp = np.spacing(np.abs(reference.coefficients).max())
+            assert np.abs(state.coefficients - reference.coefficients).max() <= ulp

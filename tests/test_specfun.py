@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EDGE_POINTS, assert_finite_or_named
 from lagmesh.errors import NumericalError
 from lagmesh.specfun import (
     MAX_DEGREE,
@@ -18,6 +19,9 @@ from lagmesh.specfun import (
     legendre_q,
     spherical_bessel_j,
 )
+
+
+_zeros = functools.lru_cache(maxsize=8)(laguerre_zeros)
 
 
 def _laguerre_oracle(N, x):
@@ -52,6 +56,12 @@ class TestLaguerreValue:
             laguerre_zeros(512), np.array([1000.0, 2003.0, 2500.0, 1e12, 1e300])
         )
         assert np.all(np.isfinite(vals))
+
+    @settings(deadline=None)  # the first draw of each size finds its zeros
+    @given(st.sampled_from([1, 10, 200, 512]), EDGE_POINTS)
+    def test_point_outside_the_domain_is_named(self, n, x):
+        zeros = _zeros(n)
+        assert_finite_or_named(lambda: laguerre_weighted(zeros, x), [("x", x)])
 
     @pytest.mark.parametrize("n", [1, 2, 17, 400, 512])
     def test_array_equals_scalar_calls(self, n):
@@ -427,3 +437,7 @@ class TestSphericalBessel:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             spherical_bessel_j(0, -1.0)
+
+    @given(st.integers(0, 12), EDGE_POINTS)
+    def test_point_outside_the_domain_is_named(self, l, x):
+        assert_finite_or_named(lambda: spherical_bessel_j(l, x), [("x", x)])
