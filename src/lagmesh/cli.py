@@ -15,22 +15,21 @@ import os
 import sys
 import threading
 from datetime import datetime, timezone
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .configspace import solve_config
 from .configspace import mean_values as config_mean_values
 from .errors import ConfigurationError, NumericalError
 from .kinetics import NonrelativisticKinetic, SalpeterKinetic
-from .observables import (
-    expval_momentum,
-    mean_values,
-    wavefunction_momentum,
-    wavefunction_position,
-)
+from .observables import mean_values, wavefunction_momentum, wavefunction_position
 from .potentials import GaussianPotential, YukawaPotential
 from .solver import ProblemSpec, solve
 
+# task t runs the function run_<t>, with "-" read as "_"
 TASKS = ("solve", "scan-h", "scan-n", "observables", "wavefunction", "compare", "table")
+POTENTIALS = {"gaussian": GaussianPotential, "yukawa": YukawaPotential}
+KINETICS = {"nonrelativistic": NonrelativisticKinetic, "salpeter": SalpeterKinetic}
 
 # Fixed reference values for the semirelativistic configuration-space
 # solution (m=1, a=3, b=1 Gaussian); computing them is out of scope for the
@@ -44,8 +43,74 @@ _TABLE2_CONF_REFERENCE = {
     "hamiltonian_mean": "1.87098362",
 }
 
+
+class _Table(NamedTuple):
+    kinetic: object
+    potential: object
+    columns: list  # (header, space "conf" or "mom", l, N, scale, state index)
+    labels: tuple  # row labels
+    reference: Optional[dict] = None  # a conf_reference column of printed values
+
+
+_TABLES = {
+    1: _Table(
+        NonrelativisticKinetic(1.0, 1.0), GaussianPotential(15.0, 1.0),
+        [("conf", "conf", 0, 100, 0.4, 0), ("mom_N10", "mom", 0, 10, 0.5, 0),
+         ("mom_N20", "mom", 0, 20, 0.5, 0), ("mom_N50", "mom", 0, 50, 0.5, 0)],
+        ("energy", "q2_mean", "q4_mean", "x_mean", "potential_mean", "hamiltonian_mean"),
+    ),
+    # Momentum solves at h = 0.5: the printed reference values reproduce
+    # there cell for cell, not at the nominal 0.4.
+    2: _Table(
+        SalpeterKinetic(1.0, 1.0), GaussianPotential(3.0, 1.0),
+        [("mom_N10", "mom", 0, 10, 0.5, 0), ("mom_N20", "mom", 0, 20, 0.5, 0),
+         ("mom_N50", "mom", 0, 50, 0.5, 0)],
+        tuple(_TABLE2_CONF_REFERENCE), _TABLE2_CONF_REFERENCE,
+    ),
+    3: _Table(
+        NonrelativisticKinetic(1.0, 1.0), YukawaPotential(10.0, 1.0),
+        [("conf_00", "conf", 0, 200, 0.02, 0), ("mom_00", "mom", 0, 200, 0.8, 0),
+         ("conf_10", "conf", 0, 200, 0.05, 1), ("mom_10", "mom", 0, 200, 1.0, 1),
+         ("conf_01", "conf", 1, 200, 0.05, 0), ("mom_01", "mom", 1, 200, 0.5, 0)],
+        ("energy", "q2_mean", "potential_mean", "hamiltonian_mean"),
+    ),
+}
+
 # CSV row labels that name a mean value differently from ``mean_values``
 _MEAN_KEYS = {"q2_mean": "p2_mean", "q4_mean": "p4_mean", "x_mean": "r_mean"}
+
+
+class _Key(NamedTuple):
+    flag: Optional[str]  # the command-line flag that sets the key
+    cast: type  # how the text is read: str, int or float
+    default: object
+    grid: bool = False  # a grid of cast values, read by _parse_grid
+    choices: Optional[tuple] = None  # the values it may name, where it names one
+
+
+# Every config key; RunConfig refuses any other.
+_KEYS = {
+    "problem.kinetics": _Key("kinetics", str, "nonrelativistic", choices=tuple(KINETICS)),
+    "problem.m1": _Key(None, float, 1.0),
+    "problem.m2": _Key(None, float, 1.0),
+    "problem.potential": _Key("potential", str, "gaussian", choices=tuple(POTENTIALS)),
+    "problem.a": _Key(None, float, None),
+    "problem.b": _Key(None, float, 1.0),
+    "problem.g": _Key("g", float, None),
+    "problem.l": _Key("l", int, 0),
+    "mesh.N": _Key("N", int, None),
+    "mesh.h": _Key("h", float, None),
+    "mesh.N_r": _Key(None, int, None),
+    "mesh.h_r": _Key(None, float, None),
+    "run.task": _Key("task", str, "solve", choices=TASKS),
+    "run.table": _Key("table", int, 0, choices=tuple(_TABLES)),
+    "run.out": _Key("out", str, None),
+    "scan.h": _Key(None, float, None, grid=True),
+    "scan.N": _Key(None, int, None, grid=True),
+    "wave.space": _Key(None, str, "momentum", choices=("momentum", "position")),
+    "wave.grid": _Key(None, float, None, grid=True),
+    "wave.state": _Key(None, int, 0),
+}
 
 
 def _fmt(x: float) -> str:
@@ -80,7 +145,8 @@ def parse_config_file(path: str) -> dict:
 
 def _parse_grid(text: str, cast, key: str = "grid"):
     """Grid syntax: either 'a,b,c' or 'start:stop:count', of finite strictly
-    increasing points; errors name the config key."""
+    increasing points, integers where ``cast`` is int; errors name the
+    config key."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -89,101 +155,96 @@ def _parse_grid(text: str, cast, key: str = "grid"):
         if count < 1:
             raise ConfigurationError(f"{key} count must be >= 1, got {count}")
         step = (stop - start) / (count - 1) if count > 1 else 0.0
-        values = [cast(start + i * step) for i in range(count)]
+        points = [start + i * step for i in range(count)]
         ends = [start, stop]  # an infinite end makes NaN points: name the end
     else:
-        values = [cast(v) for v in text.split(",") if v.strip()]
+        points = [cast(v) for v in text.split(",") if v.strip()]
         ends = []
-    if not values:
+    if not points:
         raise ConfigurationError(f"{key} is empty: {text!r}")
-    bad = [v for v in ends + values if not math.isfinite(v)]
+    bad = [v for v in ends + points if not math.isfinite(v)]
     if bad:
         raise ConfigurationError(f"{key} points must be finite, got {bad[0]!r}")
+    values = [cast(v) for v in points]
+    bad = [p for p, v in zip(points, values) if v != p]
+    if bad:
+        raise ConfigurationError(f"{key} points must be integers, got {bad[0]!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigurationError(f"{key} must be strictly increasing: {text!r}")
     return values
 
 
 class RunConfig:
-    """Validated run settings merged from config file and CLI flags."""
+    """Validated run settings merged from config file and CLI flags, read by
+    config key: ``cfg["mesh.N"]``."""
 
     def __init__(self, raw: dict):
+        unknown = [key for key in raw if key not in _KEYS]
+        if unknown:
+            raise ConfigurationError(f"unknown config key {unknown[0]!r}")
         self.raw = raw
-        self.task = raw.get("run.task", "solve")
-        if self.task not in TASKS:
-            raise ConfigurationError(f"unknown task {self.task!r}; choose from {TASKS}")
-        self.out = raw.get("run.out")
-        self.kinetics = raw.get("problem.kinetics", "nonrelativistic")
-        self.potential_name = raw.get("problem.potential", "gaussian")
-        self.m1 = float(raw.get("problem.m1", 1.0))
-        self.m2 = float(raw.get("problem.m2", 1.0))
-        self.b = float(raw.get("problem.b", 1.0))
-        self.l = int(raw.get("problem.l", 0))
-        self.a = float(raw["problem.a"]) if "problem.a" in raw else None
-        if "problem.g" in raw:
+        self.values = {}
+        for key, spec in _KEYS.items():
+            if key not in raw:
+                self.values[key] = spec.default
+            elif spec.grid:
+                self.values[key] = _parse_grid(raw[key], spec.cast, key)
+            else:
+                self.values[key] = spec.cast(raw[key])
+        self.choice("run.task")
+        if self["problem.g"] is not None:
             for key in ("problem.a", "problem.b", "problem.m1", "problem.m2"):
                 if key in raw:
                     raise ConfigurationError(
                         f"problem.g fixes a = g, b = 1 and m1 = m2 = 1; it conflicts with {key}"
                     )
-            if self.kinetics != "nonrelativistic":
+            if self["problem.kinetics"] != "nonrelativistic":
                 raise ConfigurationError(
                     "the dimensionless coupling problem.g assumes nonrelativistic "
                     "kinematics with m1 = m2 = 1; set problem.a instead"
                 )
             # dimensionless convention: b = 1, mu = 1/2, so a equals g
-            self.a = float(raw["problem.g"])
-        self.size = int(raw["mesh.N"]) if "mesh.N" in raw else None
-        self.size_r = int(raw["mesh.N_r"]) if "mesh.N_r" in raw else None
-        self.scale = float(raw["mesh.h"]) if "mesh.h" in raw else None
-        self.scale_r = float(raw["mesh.h_r"]) if "mesh.h_r" in raw else None
-        self.table = int(raw.get("run.table", 0))
-        self.scan_h = _parse_grid(raw["scan.h"], float, "scan.h") if "scan.h" in raw else None
-        self.scan_n = _parse_grid(raw["scan.N"], int, "scan.N") if "scan.N" in raw else None
-        self.wave_space = raw.get("wave.space", "momentum")
-        self.wave_grid = (
-            _parse_grid(raw["wave.grid"], float, "wave.grid") if "wave.grid" in raw else None
-        )
+            self.values["problem.a"] = self["problem.g"]
+        grid = self["wave.grid"]
         # the grid is finite and increases strictly, so its first point is the smallest
-        if self.wave_grid is not None and self.wave_grid[0] < 0.0:
+        if grid is not None and grid[0] < 0.0:
+            raise ConfigurationError(f"wave.grid points must be >= 0, got {grid[0]!r}")
+        if self["wave.state"] < 0:
+            raise ConfigurationError(f"wave.state must be >= 0, got {self['wave.state']}")
+
+    def __getitem__(self, key: str):
+        return self.values[key]
+
+    def choice(self, key: str):
+        """The value of a key that names one of its choices; any other is refused."""
+        value, choices = self[key], _KEYS[key].choices
+        if value not in choices:
             raise ConfigurationError(
-                f"wave.grid points must be >= 0, got {self.wave_grid[0]!r}"
+                f"unknown {key} {value!r}; choose from {', '.join(map(str, choices))}"
             )
-        self.wave_state = int(raw.get("wave.state", 0))
-        if self.wave_state < 0:
-            raise ConfigurationError(f"wave.state must be >= 0, got {self.wave_state}")
+        return value
+
+    def required(self, key: str):
+        """The value of a key that the task cannot run without."""
+        if self[key] is None:
+            raise ConfigurationError(f"{key} is required for task {self['run.task']}")
+        return self[key]
 
     def potential(self):
-        if self.a is None:
+        if self["problem.a"] is None:
             raise ConfigurationError("set problem.a (strength) or problem.g (coupling)")
-        if self.potential_name == "gaussian":
-            return GaussianPotential(self.a, self.b)
-        if self.potential_name == "yukawa":
-            return YukawaPotential(self.a, self.b)
-        raise ConfigurationError(
-            f"unknown potential {self.potential_name!r}; choose gaussian or yukawa"
-        )
+        return POTENTIALS[self.choice("problem.potential")](self["problem.a"], self["problem.b"])
 
     def kinetic(self):
-        if self.kinetics == "nonrelativistic":
-            return NonrelativisticKinetic(self.m1, self.m2)
-        if self.kinetics == "salpeter":
-            return SalpeterKinetic(self.m1, self.m2)
-        raise ConfigurationError(
-            f"unknown kinetics {self.kinetics!r}; choose nonrelativistic or salpeter"
-        )
+        return KINETICS[self.choice("problem.kinetics")](self["problem.m1"], self["problem.m2"])
 
     def problem(self, size=None, scale=None) -> ProblemSpec:
-        size = size if size is not None else self.size
-        scale = scale if scale is not None else self.scale
-        if size is None or scale is None:
-            raise ConfigurationError("mesh.N and mesh.h are required for this task")
-        return ProblemSpec(self.kinetic(), self.potential(), self.l, size, scale)
+        size = self.required("mesh.N") if size is None else size
+        scale = self.required("mesh.h") if scale is None else scale
+        return ProblemSpec(self.kinetic(), self.potential(), self["problem.l"], size, scale)
 
     def config_problem(self) -> ProblemSpec:
-        if self.scale_r is None:
-            raise ConfigurationError("mesh.h_r is required to solve in configuration space")
-        return self.problem(self.size_r, self.scale_r)
+        return self.problem(self["mesh.N_r"], self.required("mesh.h_r"))
 
 
 def write_csv(path: str, header: list, rows: list) -> None:
@@ -193,8 +254,16 @@ def write_csv(path: str, header: list, rows: list) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _write(cfg: RunConfig, header: list, rows: list, default: Optional[str] = None) -> None:
+    """Write the task's CSV to run.out, else to ``default``; with neither, write none."""
+    out = cfg["run.out"] or default
+    if out:
+        write_csv(out, header, rows)
+        print(f"wrote {out} ({len(rows)} rows)")
+
+
 def _echo(cfg: RunConfig) -> None:
-    print(f"# lagmesh {cfg.task} at {datetime.now(timezone.utc).isoformat()}")
+    print(f"# lagmesh {cfg['run.task']} at {datetime.now(timezone.utc).isoformat()}")
     for key in sorted(cfg.raw):
         print(f"#   {key} = {cfg.raw[key]}")
 
@@ -206,24 +275,21 @@ def _solve_states(cfg: RunConfig):
 
 def run_solve(cfg: RunConfig) -> None:
     problem, states = _solve_states(cfg)
-    print(f"bound states for l={cfg.l}, N={problem.size}, h={problem.scale}:")
+    print(f"bound states for l={problem.l}, N={problem.size}, h={problem.scale}:")
     rows = []
     for st in states:
         print(f"  (n={st.n}, l={st.l})  energy = {_fmt(st.energy)}")
         rows.append([str(st.n), str(st.l), str(problem.size), _fmt(problem.scale), _fmt(st.energy)])
     if not states:
         print("  none inside the bound-state window")
-    if cfg.out:
-        write_csv(cfg.out, ["n", "l", "N", "h", "energy"], rows)
-        print(f"wrote {cfg.out}")
+    _write(cfg, ["n", "l", "N", "h", "energy"], rows)
 
 
 def _requested_state(states: list, cfg: RunConfig):
-    if cfg.wave_state >= len(states):
-        raise NumericalError(
-            f"wave.state = {cfg.wave_state}, but only {len(states)} bound state(s)"
-        )
-    return states[cfg.wave_state]
+    n = cfg["wave.state"]
+    if n >= len(states):
+        raise NumericalError(f"wave.state = {n}, but only {len(states)} bound state(s)")
+    return states[n]
 
 
 def run_observables(cfg: RunConfig) -> None:
@@ -233,9 +299,7 @@ def run_observables(cfg: RunConfig) -> None:
     values = mean_values(_requested_state(states, cfg), problem)
     for name, value in values.items():
         print(f"  {name:>18} = {_fmt(value)}")
-    if cfg.out:
-        write_csv(cfg.out, ["quantity", "value"], [[n, _fmt(v)] for n, v in values.items()])
-        print(f"wrote {cfg.out}")
+    _write(cfg, ["quantity", "value"], [[n, _fmt(v)] for n, v in values.items()])
 
 
 def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
@@ -255,9 +319,7 @@ def _scan(cfg: RunConfig, problems: list, default_out: str) -> None:
         point = [str(problem.size), _fmt(problem.scale)]
         for st in states:
             rows.append(point + [str(st.n), str(st.l), _fmt(st.energy)])
-    out = cfg.out or default_out
-    write_csv(out, ["N", "h", "n", "l", "energy"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
+    _write(cfg, ["N", "h", "n", "l", "energy"], rows, default_out)
 
 
 def _usable_cpus() -> int:
@@ -308,41 +370,28 @@ def _solve_points(problems: list, threads: int) -> list:
 
 
 def run_scan_h(cfg: RunConfig) -> None:
-    if cfg.scan_h is None:
-        raise ConfigurationError("scan-h needs a scan.h grid")
-    if cfg.size is None:
-        raise ConfigurationError("scan-h needs mesh.N")
-    _scan(cfg, [cfg.problem(scale=h) for h in cfg.scan_h], "scan_h.csv")
+    _scan(cfg, [cfg.problem(scale=h) for h in cfg.required("scan.h")], "scan_h.csv")
 
 
 def run_scan_n(cfg: RunConfig) -> None:
-    if cfg.scan_n is None:
-        raise ConfigurationError("scan-n needs a scan.N grid")
-    if cfg.scale is None:
-        raise ConfigurationError("scan-n needs mesh.h")
-    _scan(cfg, [cfg.problem(size=n) for n in cfg.scan_n], "scan_n.csv")
+    _scan(cfg, [cfg.problem(size=n) for n in cfg.required("scan.N")], "scan_n.csv")
 
 
 def run_wavefunction(cfg: RunConfig) -> None:
-    if cfg.wave_grid is None:
-        raise ConfigurationError("wavefunction export needs a wave.grid")
-    if cfg.wave_space not in ("momentum", "position"):
-        raise ConfigurationError("wave.space must be 'momentum' or 'position'")
+    grid = cfg.required("wave.grid")
+    space = cfg.choice("wave.space")
     problem, states = _solve_states(cfg)
     if not states:
         raise NumericalError("no bound state to export")
     state = _requested_state(states, cfg)
     print(f"state (n={state.n}, l={state.l})  energy = {_fmt(state.energy)}")
-    if cfg.wave_space == "momentum":
+    if space == "momentum":
         header = ["q", "u"]
-        values = wavefunction_momentum(state, cfg.wave_grid)
+        values = wavefunction_momentum(state, grid)
     else:
         header = ["r", "u"]
-        values = wavefunction_position(state, cfg.wave_grid)
-    rows = [[_fmt(x), _fmt(x * v)] for x, v in zip(cfg.wave_grid, values)]
-    out = cfg.out or "wavefunction.csv"
-    write_csv(out, header, rows)
-    print(f"wrote {out} ({len(rows)} rows)")
+        values = wavefunction_position(state, grid)
+    _write(cfg, header, [[_fmt(x), _fmt(x * v)] for x, v in zip(grid, values)], "wavefunction.csv")
 
 
 def run_compare(cfg: RunConfig) -> None:
@@ -353,10 +402,11 @@ def run_compare(cfg: RunConfig) -> None:
     problem, states = _solve_states(cfg)
     if not states:
         raise NumericalError("no momentum-space bound state to compare")
-    if cfg.wave_state >= len(states) or cfg.wave_state >= len(config_states):
+    n = cfg["wave.state"]
+    if n >= len(states) or n >= len(config_states):
         raise NumericalError("requested state not bound in both spaces")
-    mom = mean_values(states[cfg.wave_state], problem)
-    conf = config_mean_values(config_states[cfg.wave_state], config_problem)
+    mom = mean_values(states[n], problem)
+    conf = config_mean_values(config_states[n], config_problem)
     rows = []
     for name in ("energy", "x_mean", "potential_mean", "q2_mean", "hamiltonian_mean"):
         key = _MEAN_KEYS.get(name, name)
@@ -365,71 +415,27 @@ def run_compare(cfg: RunConfig) -> None:
         rel = delta / max(abs(a), abs(b)) if max(abs(a), abs(b)) > 0 else 0.0
         print(f"  {name:>18}: mom={_fmt(a)} conf={_fmt(b)} |delta|={delta:.3e}")
         rows.append([name, _fmt(a), _fmt(b), _fmt(delta), _fmt(rel)])
-    out = cfg.out or "compare.csv"
-    write_csv(out, ["quantity", "momentum", "configuration", "abs_delta", "rel_delta"], rows)
-    print(f"wrote {out}")
-
-
-def _table1() -> tuple[list, list]:
-    potential = GaussianPotential(15.0, 1.0)
-    kinetic = NonrelativisticKinetic(1.0, 1.0)
-    config_problem = ProblemSpec(kinetic, potential, 0, 100, 0.4)
-    columns = [config_mean_values(solve_config(config_problem)[0], config_problem)]
-    for size in (10, 20, 50):
-        problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
-        columns.append(mean_values(solve(problem)[0], problem))
-    header = ["quantity", "conf", "mom_N10", "mom_N20", "mom_N50"]
-    labels = ("energy", "q2_mean", "q4_mean", "x_mean", "potential_mean", "hamiltonian_mean")
-    rows = [[label] + [_cell(col, label) for col in columns] for label in labels]
-    return header, rows
-
-
-def _table2() -> tuple[list, list]:
-    # Momentum solves at h = 0.5: the printed reference values reproduce
-    # there cell for cell, not at the nominal 0.4.
-    potential = GaussianPotential(3.0, 1.0)
-    kinetic = SalpeterKinetic(1.0, 1.0)
-    columns = []
-    for size in (10, 20, 50):
-        problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
-        state = solve(problem)[0]
-        values = mean_values(state, problem)
-        values["sqrt_p2_m2_mean"] = expval_momentum(state, lambda p: math.sqrt(p * p + 1.0))
-        columns.append(values)
-    header = ["quantity", "conf_reference", "mom_N10", "mom_N20", "mom_N50"]
-    rows = [
-        [label, ref] + [_cell(col, label) for col in columns]
-        for label, ref in _TABLE2_CONF_REFERENCE.items()
-    ]
-    return header, rows
-
-
-def _table3() -> tuple[list, list]:
-    potential = YukawaPotential(10.0, 1.0)
-    kinetic = NonrelativisticKinetic(1.0, 1.0)
-    # (n, l, momentum h, configuration h_r)
-    settings = [(0, 0, 0.8, 0.02), (1, 0, 1.0, 0.05), (0, 1, 0.5, 0.05)]
-    header = ["quantity"]
-    columns = []
-    for n, l, h, h_r in settings:
-        config_problem = ProblemSpec(kinetic, potential, l, 200, h_r)
-        columns.append(config_mean_values(solve_config(config_problem)[n], config_problem))
-        problem = ProblemSpec(kinetic, potential, l, 200, h)
-        columns.append(mean_values(solve(problem)[n], problem))
-        header += [f"conf_{n}{l}", f"mom_{n}{l}"]
-    labels = ("energy", "q2_mean", "potential_mean", "hamiltonian_mean")
-    rows = [[label] + [_cell(col, label) for col in columns] for label in labels]
-    return header, rows
+    _write(cfg, ["quantity", "momentum", "configuration", "abs_delta", "rel_delta"], rows, "compare.csv")
 
 
 def run_table(cfg: RunConfig) -> None:
-    builders = {1: _table1, 2: _table2, 3: _table3}
-    if cfg.table not in builders:
-        raise ConfigurationError(f"run.table must be 1, 2 or 3, got {cfg.table}")
-    header, rows = builders[cfg.table]()
-    out = cfg.out or f"table{cfg.table}.csv"
-    write_csv(out, header, rows)
-    print(f"wrote {out}")
+    number = cfg.choice("run.table")
+    table = _TABLES[number]
+    header, columns = ["quantity"], [table.labels]
+    if table.reference:
+        header.append("conf_reference")
+        columns.append([table.reference[label] for label in table.labels])
+    for name, space, l, size, scale, n in table.columns:
+        problem = ProblemSpec(table.kinetic, table.potential, l, size, scale)
+        if space == "conf":
+            values = config_mean_values(solve_config(problem)[n], problem)
+        else:
+            values = mean_values(solve(problem)[n], problem)
+            # <sqrt(p^2 + m^2)> of table 2: its masses are 1, so T = 2 sqrt(p^2 + 1)
+            values["sqrt_p2_m2_mean"] = values["kinetic_mean"] / 2.0
+        header.append(name)
+        columns.append([_cell(values, label) for label in table.labels])
+    _write(cfg, header, list(zip(*columns)), f"table{number}.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,29 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Momentum-space Lagrange-mesh bound-state solver",
     )
     parser.add_argument("--config", help="path to a 'section.key = value' config file")
-    parser.add_argument("--task", choices=TASKS, help="what to run")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--N", type=int, help="mesh size")
-    parser.add_argument("--h", type=float, help="mesh scale factor")
-    parser.add_argument("--l", type=int, help="partial wave")
-    parser.add_argument("--g", type=float, help="dimensionless coupling (sets a, b=1, m1=m2=1)")
-    parser.add_argument("--potential", choices=("gaussian", "yukawa"))
-    parser.add_argument("--kinetics", choices=("nonrelativistic", "salpeter"))
-    parser.add_argument("--table", type=int, choices=(1, 2, 3), help="table number for task=table")
+    for key, spec in _KEYS.items():
+        if spec.flag:
+            parser.add_argument(
+                f"--{spec.flag}", type=spec.cast, choices=spec.choices, help=f"sets {key}"
+            )
     return parser
-
-
-_FLAG_KEYS = {
-    "task": "run.task",
-    "out": "run.out",
-    "N": "mesh.N",
-    "h": "mesh.h",
-    "l": "problem.l",
-    "g": "problem.g",
-    "potential": "problem.potential",
-    "kinetics": "problem.kinetics",
-    "table": "run.table",
-}
 
 
 def main(argv=None) -> int:
@@ -470,22 +459,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        for flag, key in _FLAG_KEYS.items():
-            value = getattr(args, flag)
-            if value is not None:
-                raw[key] = str(value)
+        for key, spec in _KEYS.items():
+            if spec.flag and getattr(args, spec.flag) is not None:
+                raw[key] = str(getattr(args, spec.flag))
         cfg = RunConfig(raw)
         _echo(cfg)
-        runner = {
-            "solve": run_solve,
-            "scan-h": run_scan_h,
-            "scan-n": run_scan_n,
-            "observables": run_observables,
-            "wavefunction": run_wavefunction,
-            "compare": run_compare,
-            "table": run_table,
-        }[cfg.task]
-        runner(cfg)
+        # looked up when it runs, so that a rebinding of cli.run_* is called
+        globals()["run_" + cfg["run.task"].replace("-", "_")](cfg)
     except (ConfigurationError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter check that raises one."""
+
+import math
 
 
 class ConfigurationError(ValueError):
@@ -7,3 +9,10 @@ class ConfigurationError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to meet its accuracy contract."""
+
+
+def _require_positive(owner: str, **params: float) -> None:
+    """Refuse, by name, the first parameter that is not finite and > 0; NaN included."""
+    for name, value in params.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"{owner} requires 0 < {name} < inf, got {name} = {value!r}")

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _require_positive
 
 __all__ = [
     "NonrelativisticKinetic",
@@ -24,8 +24,7 @@ class NonrelativisticKinetic:
     m2: float
 
     def __post_init__(self):
-        if not (self.m1 > 0.0 and self.m2 > 0.0):
-            raise ConfigurationError("masses must be positive")
+        _require_positive("nonrelativistic kinetics", m1=self.m1, m2=self.m2)
 
     @property
     def mu(self) -> float:
@@ -50,8 +49,7 @@ class SalpeterKinetic:
     m2: float
 
     def __post_init__(self):
-        if not (self.m1 > 0.0 and self.m2 > 0.0):
-            raise ConfigurationError("masses must be positive")
+        _require_positive("Salpeter kinetics", m1=self.m1, m2=self.m2)
 
     def value(self, p: float) -> float:
         p2 = p * p

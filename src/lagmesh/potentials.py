@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _require_positive
 from .specfun import MAX_DEGREE, _bessel_series, _domain_points, legendre_p, legendre_q
 
 __all__ = [
@@ -192,14 +192,13 @@ def partial_wave_numeric(l: int, p: float, q: float, v_ft: Callable[[float], flo
 
 @dataclass(frozen=True)
 class GaussianPotential:
-    """V(r) = -a exp(-b^2 r^2) with a, b > 0 (attractive, short range)."""
+    """V(r) = -a exp(-b^2 r^2) with finite a, b > 0 (attractive, short range)."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ConfigurationError("Gaussian potential requires a > 0 and b > 0")
+        _require_positive("Gaussian potential", a=self.a, b=self.b)
 
     def radial_value(self, r: float) -> float:
         return -self.a * math.exp(-((self.b * r) ** 2))
@@ -216,14 +215,13 @@ class GaussianPotential:
 
 @dataclass(frozen=True)
 class YukawaPotential:
-    """V(r) = -a exp(-b r)/r with a, b > 0 (attractive, screened Coulomb)."""
+    """V(r) = -a exp(-b r)/r with finite a, b > 0 (attractive, screened Coulomb)."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ConfigurationError("Yukawa potential requires a > 0 and b > 0")
+        _require_positive("Yukawa potential", a=self.a, b=self.b)
 
     def radial_value(self, r: float) -> float:
         return -self.a * math.exp(-self.b * r) / r

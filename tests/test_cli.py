@@ -7,11 +7,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from lagmesh import GaussianPotential, NonrelativisticKinetic, ProblemSpec, YukawaPotential, cli, solve
-from lagmesh import linalg
+from lagmesh import (
+    GaussianPotential,
+    NonrelativisticKinetic,
+    ProblemSpec,
+    SalpeterKinetic,
+    YukawaPotential,
+    cli,
+    solve,
+)
+from lagmesh import configspace, linalg
 from lagmesh import solver as solver_module
 from lagmesh.mesh import build_mesh
-from lagmesh.observables import mean_values
+from lagmesh.observables import expval_momentum, mean_values
 
 
 def run_cli(args):
@@ -93,6 +101,21 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
 
+    @pytest.mark.parametrize(
+        "lines, task, key",
+        [
+            ("problem.potentail = yukawa\nproblem.g = 10\nmesh.N = 50\nmesh.h = 0.8\n", "solve",
+             "problem.potentail"),
+            ("problem.g = 15\nmesh.N = 20\nmesh.h = 0.5\nwave.State = 1\n", "observables", "wave.State"),
+        ],
+        ids=["potential", "state"],
+    )
+    def test_misspelt_key_is_refused_by_name(self, tmp_path, capsys, lines, task, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert run_cli(["--config", str(cfg), "--task", task]) == 1
+        assert f"configuration error: unknown config key {key!r}" in capsys.readouterr().err
+
     def test_unknown_task_in_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("run.task = frobnicate\n")
@@ -100,6 +123,17 @@ class TestConfigParsing:
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli(["--frobnicate"]) == 1
+
+    def test_help_lists_the_choices(self, capsys):
+        assert run_cli(["--help"]) == 0
+        out = capsys.readouterr().out
+        for choices in (
+            "--task {solve,scan-h,scan-n,observables,wavefunction,compare,table}",
+            "--potential {gaussian,yukawa}",
+            "--kinetics {nonrelativistic,salpeter}",
+            "--table {1,2,3}",
+        ):
+            assert choices in out
 
 
 class TestSolveTask:
@@ -126,6 +160,23 @@ class TestSolveTask:
     def test_infinite_scale_is_configuration_error(self, capsys):
         assert run_cli(["--task", "solve", "--g", "15", "--N", "10", "--h", "inf"]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            ("problem.a = inf\n", "a = inf"),
+            ("problem.a = 15\nproblem.m1 = inf\n", "m1 = inf"),
+            ("problem.a = 15\nproblem.b = inf\n", "b = inf"),
+        ],
+        ids=["a", "m1", "b"],
+    )
+    def test_non_finite_parameter_is_configuration_error(self, tmp_path, capsys, lines, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        args = ["--config", str(cfg), "--task", "solve", "--potential", "gaussian", "--N", "10", "--h", "0.5"]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"got {named}" in err
 
     def test_overflowing_scale_is_numerical_failure(self, capsys):
         # h^3 overflows to inf, which the Hamiltonian's finiteness check names
@@ -257,6 +308,25 @@ class TestScanTasks:
         )
         assert run_cli(["--config", str(cfg)]) == 1
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("10:20:4", "scan.N points must be integers, got 13.333333333333334"),
+            ("10:inf:3", "scan.N points must be finite, got inf"),
+        ],
+        ids=["fraction", "infinite-end"],
+    )
+    def test_size_grid_refusal_names_the_key_and_point(self, tmp_path, capsys, grid, message):
+        cfg = tmp_path / "scan.cfg"
+        out = tmp_path / "scan.csv"
+        cfg.write_text(
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.h = 0.5\n"
+            f"run.task = scan-n\nscan.N = {grid}\nrun.out = {out}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_later_failing_point_is_reported_in_grid_order(self, tmp_path, capsys, monkeypatch):
@@ -561,3 +631,40 @@ class TestTableTask:
         table = {row[0]: row[1:] for row in rows}
         assert float(table["energy"][3]) == pytest.approx(-5.3775999070682, abs=1e-9)
         assert table["q4_mean"][0] == ""  # no configuration-space q^4 route
+
+    def test_tables_one_and_two_are_the_library_values(self, tmp_path):
+        # every computed cell parses to the library's value bit for bit
+        tables = {}
+        for number in (1, 2):
+            out = tmp_path / f"table{number}.csv"
+            assert run_cli(["--task", "table", "--table", str(number), "--out", str(out)]) == 0
+            header, rows = read_rows(out)
+            tables[number] = {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+        kinetic, potential = NonrelativisticKinetic(1.0, 1.0), GaussianPotential(15.0, 1.0)
+        problem = ProblemSpec(kinetic, potential, 0, 100, 0.4)
+        columns = {"conf": configspace.mean_values(configspace.solve_config(problem)[0], problem)}
+        for size in (10, 20, 50):
+            problem = ProblemSpec(kinetic, potential, 0, size, 0.5)
+            columns[f"mom_N{size}"] = mean_values(solve(problem)[0], problem)
+        names = {"energy": "energy", "q2_mean": "p2_mean", "q4_mean": "p4_mean", "x_mean": "r_mean",
+                 "potential_mean": "potential_mean", "hamiltonian_mean": "hamiltonian_mean"}
+        assert list(tables[1]) == list(names)
+        for label, name in names.items():
+            for column, values in columns.items():
+                cell = tables[1][label][column]
+                if name in values:
+                    assert float(cell) == values[name], (label, column)
+                else:
+                    assert cell == "", (label, column)
+        printed = {
+            "energy": "1.87098362", "sqrt_p2_m2_mean": "1.3553804", "p4_mean": "3.991567",
+            "r_mean": "1.73375", "potential_mean": "-0.8397772", "hamiltonian_mean": "1.87098362",
+        }
+        assert [(label, row["conf_reference"]) for label, row in tables[2].items()] == list(printed.items())
+        for size in (10, 20, 50):
+            problem = ProblemSpec(SalpeterKinetic(1.0, 1.0), GaussianPotential(3.0, 1.0), 0, size, 0.5)
+            state = solve(problem)[0]
+            values = mean_values(state, problem)
+            values["sqrt_p2_m2_mean"] = expval_momentum(state, lambda p: math.sqrt(p * p + 1.0))
+            for label in printed:
+                assert float(tables[2][label][f"mom_N{size}"]) == values[label], (label, size)

@@ -48,6 +48,15 @@ def test_masses_must_be_positive():
         SalpeterKinetic(1.0, -2.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("kinetic", [NonrelativisticKinetic, SalpeterKinetic])
+@pytest.mark.parametrize("name", ["m1", "m2"])
+def test_non_finite_mass_is_refused_by_name(kinetic, name, value):
+    masses = {"m1": 1.0, "m2": 1.0, name: value}
+    with pytest.raises(ConfigurationError, match=f"got {name} = {value!r}"):
+        kinetic(**masses)
+
+
 @pytest.mark.parametrize("ratio", [0.001, 0.01, 0.1])
 def test_salpeter_nonrelativistic_limit(ratio):
     # T - (m1 + m2) - p^2/2mu is bounded by the quartic expansion term

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lagmesh
+from lagmesh import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lagmesh"
@@ -56,6 +57,15 @@ def test_public_names_are_documented():
     missing = [name for name in lagmesh.__all__ if not re.search(rf"\b{name}\b", code)]
     assert not missing, f"not in README.md: {', '.join(missing)}"
 
+
+
+def test_readme_lists_every_config_key():
+    # the README's key table names each key the command line reads, once
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| key |", 1)[1].split("\n\n", 1)[0]
+    cells = [line.split("|")[1] for line in table.splitlines()[2:]]
+    documented = re.findall(r"`(\w+\.\w+)`", " ".join(cells))
+    assert sorted(documented) == sorted(cli._KEYS)
 
 
 @pytest.mark.parametrize(

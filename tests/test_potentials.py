@@ -293,6 +293,14 @@ class TestPotentialSpecs:
         with pytest.raises(ConfigurationError):
             YukawaPotential(1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("potential", [GaussianPotential, YukawaPotential])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_non_finite_parameter_is_refused_by_name(self, potential, name, value):
+        params = {"a": 10.0, "b": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=f"got {name} = {value!r}"):
+            potential(**params)
+
     def test_custom_kernel_goes_through_quadrature(self):
         custom = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0))
         kernel = custom.kernel(0)
