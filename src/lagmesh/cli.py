@@ -143,6 +143,15 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+def _read(cast, text: str, key: str):
+    """text read by cast; a text it refuses is a ConfigurationError naming the key."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigurationError(f"{key} must be {kind}, got {text!r}") from None
+
+
 def _parse_grid(text: str, cast, key: str = "grid"):
     """Grid syntax: either 'a,b,c' or 'start:stop:count', of finite strictly
     increasing points, integers where ``cast`` is int; errors name the
@@ -151,14 +160,15 @@ def _parse_grid(text: str, cast, key: str = "grid"):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigurationError(f"{key} must be 'start:stop:count', got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _read(float, parts[0], key), _read(float, parts[1], key)
+        count = _read(int, parts[2], key)
         if count < 1:
             raise ConfigurationError(f"{key} count must be >= 1, got {count}")
         step = (stop - start) / (count - 1) if count > 1 else 0.0
         points = [start + i * step for i in range(count)]
         ends = [start, stop]  # an infinite end makes NaN points: name the end
     else:
-        points = [cast(v) for v in text.split(",") if v.strip()]
+        points = [_read(cast, v, key) for v in text.split(",") if v.strip()]
         ends = []
     if not points:
         raise ConfigurationError(f"{key} is empty: {text!r}")
@@ -190,7 +200,7 @@ class RunConfig:
             elif spec.grid:
                 self.values[key] = _parse_grid(raw[key], spec.cast, key)
             else:
-                self.values[key] = spec.cast(raw[key])
+                self.values[key] = _read(spec.cast, raw[key], key)
         self.choice("run.task")
         if self["problem.g"] is not None:
             for key in ("problem.a", "problem.b", "problem.m1", "problem.m2"):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the parameter check that raises one."""
+"""Exception types shared across the package, and the parameter checks that raise one."""
 
 import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -16,3 +17,10 @@ def _require_positive(owner: str, **params: float) -> None:
     for name, value in params.items():
         if not 0.0 < value < math.inf:
             raise ConfigurationError(f"{owner} requires 0 < {name} < inf, got {name} = {value!r}")
+
+
+def _require_integer(owner: str, **params) -> None:
+    """Refuse, by name, the first parameter that is not an integer, bools included."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{owner} requires an integer {name}, got {name} = {value!r}")

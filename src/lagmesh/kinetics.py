@@ -25,10 +25,13 @@ class NonrelativisticKinetic:
 
     def __post_init__(self):
         _require_positive("nonrelativistic kinetics", m1=self.m1, m2=self.m2)
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigurationError(f"m1 = {self.m1!r}, m2 = {self.m2!r} give no reduced mass > 0")
 
     @property
     def mu(self) -> float:
-        return self.m1 * self.m2 / (self.m1 + self.m2)
+        small, large = sorted((self.m1, self.m2))  # no product to overflow; m/2 for equal masses
+        return small / (1.0 + small / large)
 
     def value(self, p: float) -> float:
         return p * p / (2.0 * self.mu)
@@ -70,6 +73,10 @@ class CustomKinetic:
 
     t_of_p2: Callable[[float], float]
     window: Optional[tuple[float, float]] = None
+
+    def __post_init__(self):
+        if self.window is not None and not self.window[0] < self.window[1]:
+            raise ConfigurationError(f"a bound-state window needs lower < upper, got {self.window!r}")
 
     def value(self, p: float) -> float:
         return self.t_of_p2(p * p)

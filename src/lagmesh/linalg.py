@@ -46,22 +46,9 @@ at Yukawa N = 400), far below the floor of the split product, so the final
 vectors need no product of their own. Every step writes with ``out=`` into
 a fixed workspace besides the input: with a full window seven N x N arrays
 (A1, vh, vl and four work buffers, one of which holds the tail
-A2 = 2^-e A - A1, rebuilt and flushed in each round); with a narrow one
+A2 = 2^-e A - A1, rebuilt in each round); with a narrow one
 LAPACK's basis, A1 and A2, and N x k for the rest. Strictly ascending
 eigenvalues need no sort, and vh is returned without a copy.
-
-Momentum-space eigenvectors of a Gaussian potential decay like a Gaussian,
-and their tails reach the subnormal range. A GEMM multiplies pairs of such tails, and every
-product that underflows takes the slow gradual-underflow path on x86. So the
-entries below theta = 2^-511 are zeroed in every GEMM factor: the tail A2 of
-the split, vh after LAPACK, vh and vl after each renormalization, R and C.
-A product of two survivors is at least 2^-1022, a normal double. With
-max|A| < 1 and unit columns, the flush moves a product by at most about
-N 2^-511. It applies only when every row of the scaled A reaches 2^-400:
-then |A||v_k| has an entry of at least 2^-400/sqrt(N), so each eigenpair's
-floor 2^-75 || |A||v_k| || is at least about 2^-480, far above what the
-flush moves. Otherwise, as for a strongly graded matrix, theta is 0 and
-nothing is flushed.
 
 At N = 200 a second BLAS thread gains nothing, so a caller solving several
 matrices at once can hold OpenBLAS at one thread per solving thread with
@@ -81,8 +68,6 @@ __all__ = ["eigh_refined"]
 
 _DEGENERACY_GUARD = 1e-9  # relative gap below which vector mixing is skipped
 _WINDOW_MARGIN = 1e-10  # a window's widening, relative to ||A||_2: above LAPACK's error
-_FLUSH = 2.0**-511  # GEMM factors below this are zeroed: products of two stay normal
-_FLUSH_GUARD = -400  # the flush needs every row of the scaled A to reach 2^-400
 # (setter, getter) of the OpenBLAS thread count: the suffixed names of the
 # scipy-openblas wheels NumPy ships, and the plain names of a system OpenBLAS
 _BLAS_THREAD_SYMBOLS = (
@@ -110,9 +95,7 @@ def eigh_refined(
     not mixed. Each round squares the eigenpair error, so two rounds reach
     the floor of the split product from any LAPACK start. The eigenvalues
     are round 2's Rayleigh quotients, rounded once to double; one beyond
-    the double range is a ``NumericalError``. GEMM factors below 2^-511 are
-    zeroed when every row of the scaled A reaches 2^-400 (see the module
-    docstring).
+    the double range is a ``NumericalError``.
     """
     a = np.asarray(a, dtype=float)  # the split grids assume 53-bit doubles
     w, basis = np.linalg.eigh(a)
@@ -130,19 +113,15 @@ def eigh_refined(
     v1, t, p1, p2 = (np.empty((n, k)) for _ in range(4))
     a2 = p2 if k == n else np.empty_like(a)  # the split tail
     np.ldexp(a, -exponent, out=a2)
-    top = _top(a2, axis=1)
-    theta = _FLUSH if top.min() > _FLUSH_GUARD else 0.0  # max|row| >= 2^(top - 1)
-    a1 = _head(a2, top, bits, np.empty_like(a))
-    _flush(basis, theta)
+    a1 = _head(a2, _top(a2, axis=1), bits, np.empty_like(a))
     vh = basis if k == n else basis[:, refined].copy()
     vl = np.zeros_like(vh)
     for step in range(2 if k else 0):
-        d_head, d_tail = _rayleigh(a, exponent, a1, a2, vh, vl, bits, theta, v1, t, p1, p2)
+        d_head, d_tail = _rayleigh(a, exponent, a1, a2, vh, vl, bits, v1, t, p1, p2)
         head[refined] = d_head
         tail[refined] = d_tail
         np.multiply(vh, d_tail, out=t)
         p1 -= t  # the residual at d
-        _flush(p1, theta)
         np.matmul(basis.T, p1, out=p2)  # B
         np.subtract(d_head[None, :], head[:, None], out=t)  # the gaps
         np.subtract(d_tail[None, :], tail[:, None], out=p1)
@@ -152,11 +131,8 @@ def eigh_refined(
         p1.fill(0.0)
         np.divide(p2, t, out=p1, where=safe)  # C
         del safe
-        _flush(p1, theta)
         vl += np.matmul(basis, p1, out=t)
         vh, p1 = _normalize(vh, vl, v1, t, p1, p2), vh
-        _flush(vh, theta)
-        _flush(vl, theta)
         if step == 0 and k == n:
             basis = vh  # the refined vectors are the whole basis
         elif step == 0:
@@ -178,13 +154,6 @@ def _top(x: np.ndarray, axis: int) -> np.ndarray:
     return np.frexp(np.maximum(np.max(x, axis, keepdims=True), -np.min(x, axis, keepdims=True)))[1]
 
 
-def _flush(x: np.ndarray, theta: float) -> None:
-    """Zero the entries of x below theta in magnitude, in place."""
-    tiny = x < theta
-    tiny &= x > -theta
-    np.copyto(x, 0.0, where=tiny)
-
-
 def _head(x: np.ndarray, top, bits: int, out: np.ndarray) -> np.ndarray:
     """x rounded to a multiple of 2^(top - bits), where |x| <= 2^top, into out.
 
@@ -198,10 +167,10 @@ def _head(x: np.ndarray, top, bits: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rayleigh(a, exponent, a1, a2, vh, vl, bits, theta, v1, t, p1, p2):
+def _rayleigh(a, exponent, a1, a2, vh, vl, bits, v1, t, p1, p2):
     """Split product P = A V, Rayleigh quotients d and residual P - V d_head.
 
-    Writes the head of vh into v1, the flushed tail A2 = 2^-exponent a - a1
+    Writes the head of vh into v1, the tail A2 = 2^-exponent a - a1
     into a2 (which may be p2: A2 is dead once p2 is written) and the
     residual at d_head (not yet at d) into p1, and returns d as the
     unevaluated sum d_head + d_tail.
@@ -212,7 +181,6 @@ def _rayleigh(a, exponent, a1, a2, vh, vl, bits, theta, v1, t, p1, p2):
     t += vl
     np.ldexp(a, -exponent, out=a2)
     a2 -= a1
-    _flush(a2, theta)
     np.matmul(a2, vh, out=p1)
     np.matmul(a1, t, out=p2)
     p2 += p1

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _require_integer
 from .specfun import _domain_points, laguerre_weighted, laguerre_weights, laguerre_zeros
 
 __all__ = [
@@ -52,17 +52,22 @@ class LaguerreMesh:
 
 @lru_cache(maxsize=128)
 def _nodes_and_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes = laguerre_zeros(size)
-    weights = laguerre_weights(nodes)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    nodes = laguerre_zeros(size)  # LaguerreMesh makes both arrays read-only
+    return nodes, laguerre_weights(nodes)
+
+
+def build_mesh(size: int, scale: float) -> LaguerreMesh:
+    """Construct the N-point mesh with the given physical scale factor.
+
+    Cached per (size, scale); the size is checked before the cache is read.
+    """
+    _require_integer("a mesh", size=size)
+    return _cached_mesh(size, scale)
 
 
 @lru_cache(maxsize=128)
-def build_mesh(size: int, scale: float) -> LaguerreMesh:
-    """Construct the N-point mesh with the given physical scale factor."""
-    if not isinstance(size, (int, np.integer)) or not 1 <= size <= 512:
+def _cached_mesh(size: int, scale: float) -> LaguerreMesh:
+    if not 1 <= size <= 512:
         raise ConfigurationError(f"mesh size must be an integer in [1, 512], got {size!r}")
     if not 0.0 < scale < math.inf:
         raise ConfigurationError(f"mesh scale factor must be positive and finite, got {scale!r}")

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError, _require_integer
 from .linalg import eigh_refined
 from .mesh import LaguerreMesh, _node_values, build_mesh
 
@@ -48,8 +48,9 @@ class ProblemSpec:
     scale: float
 
     def __post_init__(self):
+        _require_integer("a problem", l=self.l, size=self.size)
         if self.l < 0:
-            raise ValueError(f"partial wave must be >= 0, got {self.l}")
+            raise ConfigurationError(f"partial wave must be >= 0, got {self.l}")
 
     def mesh(self) -> LaguerreMesh:
         return build_mesh(self.size, self.scale)

@@ -178,6 +178,24 @@ class TestSolveTask:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"got {named}" in err
 
+    @pytest.mark.parametrize(
+        "line, key, text",
+        [
+            ("scan.N = 10,20.5", "scan.N", "20.5"),
+            ("mesh.N = 1e1", "mesh.N", "1e1"),
+            ("scan.h = 0.1:2.0:x", "scan.h", "x"),
+            ("scan.h = 0.1:y:3", "scan.h", "y"),
+            ("problem.l = one", "problem.l", "one"),
+        ],
+        ids=["list-item", "scalar-int", "range-count", "range-stop", "scalar-l"],
+    )
+    def test_value_its_cast_refuses_names_the_key(self, tmp_path, capsys, line, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem.g = 15\nmesh.h = 0.5\n{line}\n")
+        assert run_cli(["--config", str(cfg), "--task", "solve"]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} must be" in err and f"got {text!r}" in err
+
     def test_overflowing_scale_is_numerical_failure(self, capsys):
         # h^3 overflows to inf, which the Hamiltonian's finiteness check names
         # without NumPy printing overflow warnings first

@@ -69,6 +69,10 @@ class TestYukawaBenchmark:
 
 
 class TestProblemValidation:
+    def test_non_integer_partial_wave_is_refused(self):
+        with pytest.raises(ConfigurationError, match="got l = 0.5"):
+            solve_config(ProblemSpec(DIMENSIONLESS, GaussianPotential(15.0, 1.0), 0.5, 40, 0.3))
+
     def test_salpeter_kinetics_rejected(self):
         problem = ProblemSpec(SalpeterKinetic(1.0, 1.0), GaussianPotential(3.0, 1.0), 0, 20, 0.4)
         with pytest.raises(ConfigurationError, match="nonrelativistic"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,31 @@ def test_custom_kinetic_window_required():
         kin.bound_window()
     windowed = CustomKinetic(t_of_p2=lambda p2: p2, window=(-1.0, 0.0))
     assert windowed.bound_window() == (-1.0, 0.0)
+
+
+@pytest.mark.parametrize("mass", [1e200, 1e308])
+def test_reduced_mass_of_huge_masses_is_finite(mass):
+    # the product m1 m2 overflows at these masses; mu must not
+    kin = NonrelativisticKinetic(mass, mass)
+    assert kin.mu == mass / 2
+    assert kin.value(1.0) == 1.0 / mass
+
+
+def test_vanishing_reduced_mass_is_refused():
+    with pytest.raises(ConfigurationError, match="m1 = 5e-324, m2 = 5e-324"):
+        NonrelativisticKinetic(5e-324, 5e-324)
+
+
+@pytest.mark.parametrize(
+    "window", [(math.nan, 0.0), (-1.0, math.nan), (0.0, -10.0), (0.0, 0.0), (math.inf, math.inf)]
+)
+def test_custom_kinetic_window_that_holds_no_state_is_refused(window):
+    with pytest.raises(ConfigurationError, match=re.escape(repr(window))):
+        CustomKinetic(t_of_p2=lambda p2: p2, window=window)
+
+
+def test_custom_kinetic_window_may_have_infinite_ends():
+    assert CustomKinetic(t_of_p2=lambda p2: p2, window=(-math.inf, math.inf)).bound_window()
 
 
 def test_masses_must_be_positive():

@@ -20,7 +20,9 @@ def _yukawa_hamiltonian(size=30):
 
 
 def _gaussian_hamiltonian():
-    # LAPACK leaves 287 nonzero eigenvector entries below 2^-511, so they are flushed
+    # LAPACK leaves 287 nonzero eigenvector entries below 2^-511 and 9 subnormal
+    # ones: the refinement's products reach gradual underflow, and its results must
+    # still be correctly rounded
     return assemble_hamiltonian(gauss15(size=40, scale=2.0))
 
 
@@ -234,8 +236,9 @@ def test_edge_matrices_agree_with_lapack(a):
 
 
 def test_graded_matrix_is_not_flushed():
-    # rows of order 1 against max|A| = 1e200: flushing the GEMM factors below
-    # 2^-511 without the row guard gives 0.1161 and 1.8839
+    # rows of order 1 against max|A| = 1e200 fall to about 2^-665 after the
+    # scaling; zeroing the GEMM factors below 2^-511 there gives 0.1161 and 1.8839,
+    # so the refinement must carry such rows in full
     a = np.diag([1e200, 1.0, 2.0])
     a[0, 1] = a[1, 0] = 1e90
     a[1, 2] = a[2, 1] = 0.5

@@ -36,6 +36,14 @@ class TestBuildMesh:
         with pytest.raises(ConfigurationError):
             build_mesh(size, scale)
 
+    @pytest.mark.parametrize("size", [20.0, True], ids=["float", "bool"])
+    def test_non_integer_size_is_refused_after_a_cached_build(self, size):
+        # 20.0 and True are the cache keys 20 and 1: the check runs before the lookup
+        build_mesh(20, 0.5)
+        build_mesh(1, 0.5)
+        with pytest.raises(ConfigurationError, match=f"got size = {size!r}"):
+            build_mesh(size, 0.5)
+
 
 class TestLagrangeFunction:
     @pytest.mark.parametrize("n", [5, 20, 50])

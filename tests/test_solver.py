@@ -215,6 +215,12 @@ class TestBoundStates:
         with pytest.raises(ConfigurationError, match="window"):
             solve(problem)
 
+    @pytest.mark.parametrize("field, value", [("l", 1.0), ("l", True), ("size", 20.0)])
+    def test_non_integer_field_is_refused_after_a_cached_solve(self, field, value):
+        solve(gauss15(l=1, size=20))
+        with pytest.raises(ConfigurationError, match=f"got {field} = {value!r}"):
+            solve(gauss15(**{"l": 1, "size": 20, field: value}))
+
     def test_select_returns_rank_labels(self):
         energies = np.array([-2.0, -1.0, 3.0])
         vectors = np.eye(3)
