@@ -24,9 +24,7 @@ from .solver import (
     BoundState,
     ProblemSpec,
     assemble_hamiltonian,
-    select_bound_states,
     solve,
-    solve_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -49,10 +47,8 @@ __all__ = [
     "expval_momentum",
     "expval_radial",
     "reduced_wavefunction",
-    "select_bound_states",
     "solve",
     "solve_config",
-    "solve_spectrum",
     "wavefunction_momentum",
     "wavefunction_position",
 ]

@@ -53,6 +53,9 @@ class SalpeterKinetic:
 
     def __post_init__(self):
         _require_positive("Salpeter kinetics", m1=self.m1, m2=self.m2)
+        for name, m in (("m1", self.m1), ("m2", self.m2)):
+            if not math.isfinite(m * m):  # sqrt(p^2 + m^2) would be inf at every p
+                raise ConfigurationError(f"Salpeter kinetics requires a finite {name}^2, got {name} = {m!r}")
 
     def value(self, p: float) -> float:
         p2 = p * p

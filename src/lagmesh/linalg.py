@@ -46,7 +46,7 @@ at Yukawa N = 400), far below the floor of the split product, so the final
 vectors need no product of their own. Every step writes with ``out=`` into
 a fixed workspace besides the input: with a full window seven N x N arrays
 (A1, vh, vl and four work buffers, one of which holds the tail
-A2 = 2^-e A - A1, rebuilt in each round); with a narrow one
+A2 = 2^-e A - A1, rebuilt for round 2); with a narrow one
 LAPACK's basis, A1 and A2, and N x k for the rest. Strictly ascending
 eigenvalues need no sort, and vh is returned without a copy.
 
@@ -114,10 +114,11 @@ def eigh_refined(
     a2 = p2 if k == n else np.empty_like(a)  # the split tail
     np.ldexp(a, -exponent, out=a2)
     a1 = _head(a2, _top(a2, axis=1), bits, np.empty_like(a))
+    a2 -= a1
     vh = basis if k == n else basis[:, refined].copy()
     vl = np.zeros_like(vh)
     for step in range(2 if k else 0):
-        d_head, d_tail = _rayleigh(a, exponent, a1, a2, vh, vl, bits, v1, t, p1, p2)
+        d_head, d_tail = _rayleigh(a1, a2, vh, vl, bits, v1, t, p1, p2)
         head[refined] = d_head
         tail[refined] = d_tail
         np.multiply(vh, d_tail, out=t)
@@ -135,6 +136,7 @@ def eigh_refined(
         vh, p1 = _normalize(vh, vl, v1, t, p1, p2), vh
         if step == 0 and k == n:
             basis = vh  # the refined vectors are the whole basis
+            np.subtract(np.ldexp(a, -exponent, out=a2), a1, out=a2)  # A2 again: p2 was reused
         elif step == 0:
             basis[:, refined] = vh  # the refined columns join the basis
     with np.errstate(over="ignore"):
@@ -167,20 +169,17 @@ def _head(x: np.ndarray, top, bits: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rayleigh(a, exponent, a1, a2, vh, vl, bits, v1, t, p1, p2):
+def _rayleigh(a1, a2, vh, vl, bits, v1, t, p1, p2):
     """Split product P = A V, Rayleigh quotients d and residual P - V d_head.
 
-    Writes the head of vh into v1, the tail A2 = 2^-exponent a - a1
-    into a2 (which may be p2: A2 is dead once p2 is written) and the
-    residual at d_head (not yet at d) into p1, and returns d as the
-    unevaluated sum d_head + d_tail.
+    Takes the scaled A as its head a1 and tail a2 (which may be p2: A2 is
+    dead once p2 is written). Writes the head of vh into v1 and the residual
+    at d_head (not yet at d) into p1, and returns d as d_head + d_tail.
     """
     norm2 = np.sum(np.multiply(vh, vh, out=t), axis=0)
     _head(vh, _top(vh, axis=0), bits, v1)
     np.subtract(vh, v1, out=t)
     t += vl
-    np.ldexp(a, -exponent, out=a2)
-    a2 -= a1
     np.matmul(a2, vh, out=p1)
     np.matmul(a1, t, out=p2)
     p2 += p1

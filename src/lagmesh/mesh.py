@@ -56,17 +56,14 @@ def _nodes_and_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, laguerre_weights(nodes)
 
 
+@lru_cache(maxsize=128, typed=True)
 def build_mesh(size: int, scale: float) -> LaguerreMesh:
     """Construct the N-point mesh with the given physical scale factor.
 
-    Cached per (size, scale); the size is checked before the cache is read.
+    Cached per (size, scale) and argument type, so a non-integer size
+    always reaches the integer check.
     """
     _require_integer("a mesh", size=size)
-    return _cached_mesh(size, scale)
-
-
-@lru_cache(maxsize=128)
-def _cached_mesh(size: int, scale: float) -> LaguerreMesh:
     if not 1 <= size <= 512:
         raise ConfigurationError(f"mesh size must be an integer in [1, 512], got {size!r}")
     if not 0.0 < scale < math.inf:

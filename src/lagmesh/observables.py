@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _require_integer
 from .linalg import eigh_refined
 from .mesh import _node_values, build_mesh, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
@@ -33,7 +33,7 @@ __all__ = [
 _CLAMP = 1e-9  # tolerated quadrature leakage of the dimensionless r^2 spectrum below zero
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def build_position_calculus(size: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Factorize t_ij + l(l+1)/x_i^2 delta_ij on the N-point mesh at scale 1.
 
@@ -43,7 +43,9 @@ def build_position_calculus(size: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     factorization per (N, l) serves every h and its radii are
     sqrt(eigenvalues) / h. The spectrum must be nonnegative up to quadrature
     error; eigenvalues inside a 1e-9 window below zero are clamped to zero.
+    Cached per (N, l) and argument type, so a non-integer one is refused.
     """
+    _require_integer("an r^2 calculus", size=size, l=l)
     eigenvalues, transform, _ = eigh_refined(radial_form(build_mesh(size, 1.0), l))
     if np.any(eigenvalues < -_CLAMP):
         raise NumericalError(

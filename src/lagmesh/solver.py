@@ -7,12 +7,10 @@ eigenproblem
 
 with h the momentum scale, x_i the mesh nodes and l_i the quadrature
 weights. Bound states are the eigenpairs whose energy falls inside the
-kinetic operator's bound-state window. ``solve_spectrum`` and
-``select_bound_states`` take any mesh matrix and window, so the
-configuration-space solver turns its matrix into bound states the same way.
+kinetic operator's bound-state window. The configuration-space solver
+turns its matrix into bound states through the same cached path.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,8 +24,6 @@ __all__ = [
     "ProblemSpec",
     "BoundState",
     "assemble_hamiltonian",
-    "solve_spectrum",
-    "select_bound_states",
     "solve",
 ]
 
@@ -133,21 +129,18 @@ def _raise_at_first_failure(kernel, momenta: np.ndarray, rows, cols) -> None:
             )
 
 
-def solve_spectrum(
-    hamiltonian: np.ndarray, window: tuple[float, float] = (-math.inf, math.inf)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a mesh H.
-
-    With no window, all N eigenpairs. With one, only the pairs that
-    ``eigh_refined`` refines: those whose LAPACK eigenvalue lies in the
-    window widened by its margin, so a pair just outside may be among them;
-    ``select_bound_states`` applies the exact window. A non-finite entry is
-    refused before the eigensolver sees it, and a non-finite eigenpair or a
-    residual above 1e-11 * ||H||_2 after it. The order is ``eigh_refined``'s,
-    reproducible through exact degeneracies.
-    """
+@lru_cache(maxsize=128)
+def _solve_cached(assemble, problem):
+    """The bound states of ``assemble(problem)`` as a tuple, cached per
+    (assembler, problem) for the solvers of both spaces. A non-finite entry
+    is refused before the pairs near the kinetic operator's window are
+    refined, and a non-finite pair or a residual above 1e-11 * ||H||_2 after.
+    Each pair with lower < energy < upper becomes a unit vector with its first
+    nonzero entry positive, ranked by ``n``; only these few N-vectors stay."""
+    hamiltonian = assemble(problem)
     if not np.all(np.isfinite(hamiltonian)):
         raise NumericalError("Hamiltonian contains non-finite entries")
+    lower, upper = window = problem.kinetic.bound_window()
     energies, vectors, norm = eigh_refined(hamiltonian, window)
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(vectors))):
         raise NumericalError("eigensolver returned non-finite eigenpairs")
@@ -157,50 +150,25 @@ def solve_spectrum(
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds 1e-11 * ||H|| = {bound:.3e}"
         )
-    return energies, vectors
-
-
-def select_bound_states(
-    energies: np.ndarray,
-    vectors: np.ndarray,
-    window: tuple[float, float],
-    mesh: LaguerreMesh,
-    l: int,
-) -> list[BoundState]:
-    """Keep eigenpairs with lower < energy < upper, normalized and labeled.
-
-    Returns them in ascending energy; an empty list is a legitimate outcome.
-    """
-    lower, upper = window
+    mesh = problem.mesh()
     states = []
-    for idx in np.flatnonzero((energies > lower) & (energies < upper)):
+    for n, idx in enumerate(np.flatnonzero((energies > lower) & (energies < upper))):
         c = vectors[:, idx].copy()
         c /= np.linalg.norm(c)
         first = np.flatnonzero(c)
         if first.size and c[first[0]] < 0.0:
             c = -c
-        states.append(BoundState(float(energies[idx]), c, n=len(states), l=l, mesh=mesh))
-    return states
-
-
-@lru_cache(maxsize=128)
-def _solve_cached(assemble, problem):
-    """The bound states of ``assemble(problem)`` as a tuple, cached per
-    (assembler, problem) for the solvers of both spaces. Only the pairs
-    near the kinetic operator's window are refined, and their N x k
-    eigenvectors are dropped: a cached problem holds a few N-vectors."""
-    hamiltonian = assemble(problem)
-    window = problem.kinetic.bound_window()
-    energies, vectors = solve_spectrum(hamiltonian, window)
-    return tuple(select_bound_states(energies, vectors, window, problem.mesh(), problem.l))
+        states.append(BoundState(float(energies[idx]), c, n=n, l=problem.l, mesh=mesh))
+    return tuple(states)
 
 
 def solve(problem: ProblemSpec) -> list[BoundState]:
     """Assemble, diagonalize and select the bound states of a problem.
 
     The bound states are cached per ProblemSpec, so a repeated solve of the
-    same problem is free; the full spectrum comes from ``solve_spectrum``
-    called with no window.
+    same problem is free. No eigenvector matrix is kept: a full spectrum
+    comes from ``lagmesh.linalg.eigh_refined(assemble_hamiltonian(problem))``,
+    without the checks a solve applies.
     """
     problem.kinetic.bound_window()  # a missing window fails before the solve
     return list(_solve_cached(assemble_hamiltonian, problem))

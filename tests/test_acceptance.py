@@ -23,11 +23,11 @@ from lagmesh import (
     reduced_wavefunction,
     solve,
     solve_config,
-    solve_spectrum,
     wavefunction_position,
 )
 from lagmesh.cli import main as cli_main
 from lagmesh.configspace import mean_values as config_mean_values
+from lagmesh.linalg import eigh_refined
 from lagmesh.mesh import lagrange_function
 from lagmesh.observables import mean_values
 from lagmesh.potentials import (
@@ -64,8 +64,9 @@ def check_cell(failures, label, value, printed, tol=None):
 # supports. A 40-digit solve of the same mesh eigenproblem (g=15, h=0.5)
 # gives q2 = 3.74063826403424538 at N=10 (this package: within 3e-15; printed
 # value off by 5.4e-13) and q2 = 3.74063887622353905 at N=50 (this package:
-# within 2e-15; printed value off by 4.1e-14). The N=10 H cell was not
-# recomputed. The printed digits and tolerances below are left as they are.
+# within 2e-15; printed value off by 4.1e-14), and H = -5.37760421338810853 at
+# N=10; test_table1_cells_match_a_40_digit_solve checks these cells against
+# such a solve. The printed digits and tolerances below are left as they are.
 TABLE1_MOM = {
     10: {
         "energy": "-5.3776125307238",
@@ -117,6 +118,70 @@ def test_criterion_1_table1_momentum():
             tol = 1e-9 if (size, key) == (50, "energy") else None
             check_cell(failures, f"N={size} {key}", column[key], printed, tol)
     report("criterion 1: benchmark table 1, momentum-space reproduction", failures)
+
+
+# The same three table-1 cells from a 40-digit solve of the same mesh problem:
+# _table1_cells_40_digits(50), rounded to 25 digits (5 s with mpmath 1.3).
+TABLE1_40_DIGITS_N50 = (
+    "-5.377599907068437780186969",
+    "3.740638876223539048877229",
+    "-5.377599907068437781085902",
+)
+
+
+def _table1_cells_40_digits(size):
+    """E, <q^2> and <H> = <T> + <V> of table 1's momentum problem (g=15, b=1,
+    h=0.5, l=0, T = p^2), solved in mpmath at 40 digits.
+
+    Nodes from the Golub-Welsch Jacobi matrix, weights
+    x e^x / ((N+1) L_{N+1}(x))^2, the closed-form l=0 Gaussian kernel
+    -a/(2 sqrt(pi) b^3) (e^(-(p-q)^2/4b^2) - e^(-(p+q)^2/4b^2)) / 2y with
+    y = pq/2b^2, and <V> through the eigenvectors of the scale-1 radial form.
+    """
+    mp = pytest.importorskip("mpmath")
+    n, a = size, 15
+    with mp.workdps(40):
+        h = mp.mpf(1) / 2
+        jacobi = mp.matrix(n, n)
+        for k in range(n):
+            jacobi[k, k] = 2 * k + 1
+            if k:
+                jacobi[k, k - 1] = jacobi[k - 1, k] = k
+        x = sorted(mp.eigsy(jacobi, eigvals_only=True))
+        lam = [xi * mp.exp(xi) / ((n + 1) * mp.laguerre(n + 1, 0, xi)) ** 2 for xi in x]
+        p = [h * xi for xi in x]
+        matrix, form = mp.matrix(n, n), mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                gap = mp.exp(-((p[i] - p[j]) ** 2) / 4) - mp.exp(-((p[i] + p[j]) ** 2) / 4)
+                kernel = -a / (2 * mp.sqrt(mp.pi)) * gap / (p[i] * p[j])
+                matrix[i, j] = h**3 * mp.sqrt(lam[i] * lam[j]) * x[i] * x[j] * kernel
+                if i != j:
+                    sign = (-1) ** (i - j)
+                    form[i, j] = sign * (x[i] + x[j]) / (mp.sqrt(x[i] * x[j]) * (x[i] - x[j]) ** 2)
+            matrix[i, i] += p[i] ** 2
+            form[i, i] = (4 + (4 * n + 2) * x[i] - x[i] ** 2) / (12 * x[i] ** 2)
+        energies, vectors = mp.eigsy(matrix)
+        g = min(range(n), key=lambda k: energies[k])
+        c = [vectors[i, g] for i in range(n)]
+        q2 = mp.fsum(c[i] ** 2 * p[i] ** 2 for i in range(n))
+        r2, transform = mp.eigsy(form)
+        projected = [mp.fsum(transform[i, m] * c[i] for i in range(n)) for m in range(n)]
+        potential = mp.fsum(-a * mp.exp(-max(r2[m], 0) / h**2) * projected[m] ** 2 for m in range(n))
+        return energies[g], q2, q2 + potential
+
+
+@pytest.mark.parametrize("size", [10, 50])
+def test_table1_cells_match_a_40_digit_solve(size):
+    # 16 ulps: the package is at most 14 ulps off (<H> at N=50), as the
+    # closed-form kernel's accuracy, about 1.3e-15 of max|V|, allows; a kernel
+    # off by 1e-13 moves E by about 1000 ulps.
+    cells = TABLE1_40_DIGITS_N50 if size == 50 else _table1_cells_40_digits(size)
+    reference = [float(v) for v in cells]
+    column = _table1_column(size)
+    for key, expected in zip(("energy", "q2", "H"), reference):
+        ulps = abs(column[key] - expected) / np.spacing(abs(expected))
+        assert ulps <= 16, f"N={size} {key}: {column[key]!r} vs {expected!r} ({ulps:.0f} ulps)"
 
 
 # --- criterion 2: benchmark table 1, configuration oracle ------------------
@@ -340,7 +405,7 @@ def test_criterion_7_property_suite():
     # eigen residuals and eigenvector normalization on a benchmark problem
     problem = gauss15()
     matrix = assemble_hamiltonian(problem)
-    energies, vectors = solve_spectrum(matrix)
+    energies, vectors, _ = eigh_refined(matrix)
     residual = np.abs(matrix @ vectors - vectors * energies).max()
     bound = 1e-11 * np.linalg.norm(matrix, 2)
     if residual > bound:

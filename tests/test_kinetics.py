@@ -50,6 +50,20 @@ def test_reduced_mass_of_huge_masses_is_finite(mass):
     assert kin.value(1.0) == 1.0 / mass
 
 
+@pytest.mark.parametrize("mass", [1.35e154, 1e200, 1e308])
+@pytest.mark.parametrize("name", ["m1", "m2"])
+def test_salpeter_mass_whose_square_overflows_is_refused_by_name(name, mass):
+    # sqrt(p^2 + m^2) would be inf at every momentum
+    with pytest.raises(ConfigurationError, match=re.escape(f"finite {name}^2, got {name} = {mass!r}")):
+        SalpeterKinetic(**{"m1": 1.0, "m2": 1.0, name: mass})
+
+
+def test_salpeter_largest_mass_stays_finite():
+    kin = SalpeterKinetic(1.34e154, 1.34e154)
+    assert kin.value(1.0) == 2 * 1.34e154
+    assert kin.bound_window() == (0.0, 2 * 1.34e154)
+
+
 def test_vanishing_reduced_mass_is_refused():
     with pytest.raises(ConfigurationError, match="m1 = 5e-324, m2 = 5e-324"):
         NonrelativisticKinetic(5e-324, 5e-324)

@@ -38,7 +38,7 @@ class TestBuildMesh:
 
     @pytest.mark.parametrize("size", [20.0, True], ids=["float", "bool"])
     def test_non_integer_size_is_refused_after_a_cached_build(self, size):
-        # 20.0 and True are the cache keys 20 and 1: the check runs before the lookup
+        # untyped, 20.0 and True would be the cache keys 20 and 1; typed, they reach the check
         build_mesh(20, 0.5)
         build_mesh(1, 0.5)
         with pytest.raises(ConfigurationError, match=f"got size = {size!r}"):

@@ -18,11 +18,12 @@ from lagmesh import (
     reduced_wavefunction,
     solve,
     solve_config,
-    solve_spectrum,
     wavefunction_momentum,
     wavefunction_position,
 )
 from lagmesh.configspace import mean_values as config_mean_values
+from lagmesh.errors import ConfigurationError
+from lagmesh.linalg import eigh_refined
 from lagmesh.mesh import lagrange_function, radial_form
 from lagmesh.observables import mean_values
 
@@ -64,6 +65,16 @@ class TestPositionCalculus:
         assert build_position_calculus.cache_info().misses == 1
         eigenvalues, transform = build_position_calculus(20, 0)
         assert not (eigenvalues.flags.writeable or transform.flags.writeable)
+
+    @pytest.mark.parametrize(
+        "size, l, refused", [(20.0, 0, "size = 20.0"), (20, 0.0, "l = 0.0"), (20, True, "l = True")]
+    )
+    def test_non_integer_argument_is_refused_after_a_cached_build(self, size, l, refused):
+        # untyped, 20.0 and True would be the cache keys 20 and 1
+        build_position_calculus(20, 0)
+        build_position_calculus(20, 1)
+        with pytest.raises(ConfigurationError, match=f"got {refused}"):
+            build_position_calculus(size, l)
 
     def test_transform_orthogonal(self):
         _, transform = build_position_calculus(50, 0)
@@ -133,7 +144,7 @@ class TestHamiltonianConsistency:
             8,
             0.6,
         )
-        energies, vectors = solve_spectrum(assemble_hamiltonian(problem))
+        energies, vectors, _ = eigh_refined(assemble_hamiltonian(problem))
         mesh = problem.mesh()
         state = BoundState(float(energies[0]), vectors[:, 0].copy(), 0, 0, mesh)
         eps, mean = state.energy, mean_values(state, problem)["hamiltonian_mean"]

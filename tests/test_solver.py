@@ -14,9 +14,7 @@ from lagmesh import (
     SalpeterKinetic,
     YukawaPotential,
     assemble_hamiltonian,
-    select_bound_states,
     solve,
-    solve_spectrum,
 )
 from lagmesh import solver as solver_module
 from lagmesh.errors import ConfigurationError, NumericalError
@@ -33,6 +31,17 @@ def no_eigensolver(monkeypatch):
         raise AssertionError("the eigensolver ran")
 
     monkeypatch.setattr(solver_module, "eigh_refined", must_not_run)
+
+
+def _solve_matrix(matrix, window=(-math.inf, math.inf), l=0):
+    """The states the solve path keeps from a given mesh matrix, bypassing
+    the cache; the default window keeps the full spectrum."""
+    problem = ProblemSpec(CustomKinetic(lambda p2: p2, window), None, l, len(matrix), 1.0)
+    return list(solver_module._solve_cached.__wrapped__(lambda _: matrix, problem))
+
+
+def _spectrum(states):
+    return np.array([s.energy for s in states]), np.column_stack([s.coefficients for s in states])
 
 
 class TestAssembly:
@@ -119,21 +128,22 @@ class TestAssembly:
 
 class TestSpectrum:
     def test_identity_matrix(self):
-        energies, vectors = solve_spectrum(np.eye(3))
+        energies, vectors = _spectrum(_solve_matrix(np.eye(3)))
         assert energies == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_two_by_two_closed_form(self):
-        energies, _ = solve_spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        energies, _ = _spectrum(_solve_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert energies == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_benchmark_ground_state(self):
         h = assemble_hamiltonian(gauss15(size=20))
-        energies, _ = solve_spectrum(h)
+        energies, _ = _spectrum(_solve_matrix(h))
+        assert len(energies) == len(h)
         assert energies[0] == pytest.approx(-5.3775999078195, abs=1e-11)
 
     def test_residual_and_orthonormality_contracts(self):
         h = assemble_hamiltonian(yukawa10(size=50, scale=0.8))
-        energies, vectors = solve_spectrum(h)
+        energies, vectors = _spectrum(_solve_matrix(h))
         residual = np.abs(h @ vectors - vectors * energies).max()
         assert residual <= 1e-11 * np.linalg.norm(h, 2)
         gram = vectors.T @ vectors
@@ -145,7 +155,7 @@ class TestSpectrum:
         h = np.eye(3)
         h[1, 2] = h[2, 1] = bad
         with pytest.raises(NumericalError, match="contains non-finite"):
-            solve_spectrum(h)
+            _solve_matrix(h)
 
     @pytest.mark.parametrize("broken", ["energy", "vector"])
     def test_non_finite_eigenpair_refused(self, monkeypatch, broken):
@@ -160,7 +170,18 @@ class TestSpectrum:
 
         monkeypatch.setattr(solver_module, "eigh_refined", nan_eigensolver)
         with pytest.raises(NumericalError, match="non-finite eigenpairs"):
-            solve_spectrum(np.diag([1.0, 2.0, 3.0]))
+            _solve_matrix(np.diag([1.0, 2.0, 3.0]))
+
+    def test_residual_above_the_bound_is_refused(self, monkeypatch):
+        def rotated_eigensolver(a, window):
+            energies, vectors = np.linalg.eigh(a)
+            c, s = math.cos(1e-6), math.sin(1e-6)  # mixes pairs 1 and 2 by 1e-6
+            vectors[:, :2] = vectors[:, :2] @ np.array([[c, s], [-s, c]])
+            return energies, vectors, 3.0
+
+        monkeypatch.setattr(solver_module, "eigh_refined", rotated_eigensolver)
+        with pytest.raises(NumericalError, match="residual .* exceeds 1e-11"):
+            _solve_matrix(np.diag([1.0, 2.0, 3.0]))
 
     def test_kinetic_infinite_at_a_node_is_numerical_failure(self):
         mesh = build_mesh(6, 0.7)
@@ -222,11 +243,8 @@ class TestBoundStates:
             solve(gauss15(**{"l": 1, "size": 20, field: value}))
 
     def test_select_returns_rank_labels(self):
-        energies = np.array([-2.0, -1.0, 3.0])
-        vectors = np.eye(3)
-        states = select_bound_states(
-            energies, vectors, DIMENSIONLESS.bound_window(), build_mesh(3, 1.0), l=2
-        )
+        states = _solve_matrix(np.diag([-2.0, -1.0, 3.0]), DIMENSIONLESS.bound_window(), l=2)
+        assert [s.energy for s in states] == [-2.0, -1.0]
         assert [s.n for s in states] == [0, 1]
         assert all(s.l == 2 for s in states)
 
@@ -302,8 +320,9 @@ class TestSolveCache:
         window = problem.kinetic.bound_window()
         [(used, count)] = refined
         assert used == window and len(states) <= count < problem.size
-        energies, vectors = solve_spectrum(assemble_hamiltonian(problem))
-        full = select_bound_states(energies, vectors, window, problem.mesh(), problem.l)
+        lower, upper = window
+        spectrum = _solve_matrix(assemble_hamiltonian(problem))
+        full = [s for s in spectrum if lower < s.energy < upper]
         assert [s.energy for s in states] == [s.energy for s in full]
         for state, reference in zip(states, full):
             ulp = np.spacing(np.abs(reference.coefficients).max())
