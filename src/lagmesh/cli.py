@@ -103,7 +103,7 @@ _KEYS = {
     "mesh.N_r": _Key(None, int, None),
     "mesh.h_r": _Key(None, float, None),
     "run.task": _Key("task", str, "solve", choices=TASKS),
-    "run.table": _Key("table", int, 0, choices=tuple(_TABLES)),
+    "run.table": _Key("table", int, None, choices=tuple(_TABLES)),
     "run.out": _Key("out", str, None),
     "scan.h": _Key(None, float, None, grid=True),
     "scan.N": _Key(None, int, None, grid=True),
@@ -186,7 +186,8 @@ def _parse_grid(text: str, cast, key: str = "grid"):
 
 class RunConfig:
     """Validated run settings merged from config file and CLI flags, read by
-    config key: ``cfg["mesh.N"]``."""
+    config key: ``cfg["mesh.N"]``. A value outside its key's choices is
+    refused here, whatever the task."""
 
     def __init__(self, raw: dict):
         unknown = [key for key in raw if key not in _KEYS]
@@ -196,12 +197,16 @@ class RunConfig:
         self.values = {}
         for key, spec in _KEYS.items():
             if key not in raw:
-                self.values[key] = spec.default
+                value = spec.default
             elif spec.grid:
-                self.values[key] = _parse_grid(raw[key], spec.cast, key)
+                value = _parse_grid(raw[key], spec.cast, key)
             else:
-                self.values[key] = _read(spec.cast, raw[key], key)
-        self.choice("run.task")
+                value = _read(spec.cast, raw[key], key)
+            if spec.choices and value is not None and value not in spec.choices:
+                raise ConfigurationError(
+                    f"unknown {key} {value!r}; choose from {', '.join(map(str, spec.choices))}"
+                )
+            self.values[key] = value
         if self["problem.g"] is not None:
             for key in ("problem.a", "problem.b", "problem.m1", "problem.m2"):
                 if key in raw:
@@ -225,36 +230,21 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def choice(self, key: str):
-        """The value of a key that names one of its choices; any other is refused."""
-        value, choices = self[key], _KEYS[key].choices
-        if value not in choices:
-            raise ConfigurationError(
-                f"unknown {key} {value!r}; choose from {', '.join(map(str, choices))}"
-            )
-        return value
-
     def required(self, key: str):
         """The value of a key that the task cannot run without."""
         if self[key] is None:
             raise ConfigurationError(f"{key} is required for task {self['run.task']}")
         return self[key]
 
-    def potential(self):
-        if self["problem.a"] is None:
-            raise ConfigurationError("set problem.a (strength) or problem.g (coupling)")
-        return POTENTIALS[self.choice("problem.potential")](self["problem.a"], self["problem.b"])
-
-    def kinetic(self):
-        return KINETICS[self.choice("problem.kinetics")](self["problem.m1"], self["problem.m2"])
-
     def problem(self, size=None, scale=None) -> ProblemSpec:
+        """The configured problem on mesh.N and mesh.h, or on the size or scale given."""
         size = self.required("mesh.N") if size is None else size
         scale = self.required("mesh.h") if scale is None else scale
-        return ProblemSpec(self.kinetic(), self.potential(), self["problem.l"], size, scale)
-
-    def config_problem(self) -> ProblemSpec:
-        return self.problem(self["mesh.N_r"], self.required("mesh.h_r"))
+        kinetic = KINETICS[self["problem.kinetics"]](self["problem.m1"], self["problem.m2"])
+        if self["problem.a"] is None:
+            raise ConfigurationError("set problem.a (strength) or problem.g (coupling)")
+        potential = POTENTIALS[self["problem.potential"]](self["problem.a"], self["problem.b"])
+        return ProblemSpec(kinetic, potential, self["problem.l"], size, scale)
 
 
 def write_csv(path: str, header: list, rows: list) -> None:
@@ -268,7 +258,10 @@ def _write(cfg: RunConfig, header: list, rows: list, default: Optional[str] = No
     """Write the task's CSV to run.out, else to ``default``; with neither, write none."""
     out = cfg["run.out"] or default
     if out:
-        write_csv(out, header, rows)
+        try:
+            write_csv(out, header, rows)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {out}: {exc}") from exc
         print(f"wrote {out} ({len(rows)} rows)")
 
 
@@ -278,13 +271,9 @@ def _echo(cfg: RunConfig) -> None:
         print(f"#   {key} = {cfg.raw[key]}")
 
 
-def _solve_states(cfg: RunConfig):
-    problem = cfg.problem()
-    return problem, solve(problem)
-
-
 def run_solve(cfg: RunConfig) -> None:
-    problem, states = _solve_states(cfg)
+    problem = cfg.problem()
+    states = solve(problem)
     print(f"bound states for l={problem.l}, N={problem.size}, h={problem.scale}:")
     rows = []
     for st in states:
@@ -295,18 +284,17 @@ def run_solve(cfg: RunConfig) -> None:
     _write(cfg, ["n", "l", "N", "h", "energy"], rows)
 
 
-def _requested_state(states: list, cfg: RunConfig):
+def _requested_state(states: list, cfg: RunConfig, space: str = ""):
+    """The bound state that wave.state names; ``space`` qualifies the count in the refusal."""
     n = cfg["wave.state"]
     if n >= len(states):
-        raise NumericalError(f"wave.state = {n}, but only {len(states)} bound state(s)")
+        raise NumericalError(f"wave.state = {n}, but only {len(states)} {space}bound state(s)")
     return states[n]
 
 
 def run_observables(cfg: RunConfig) -> None:
-    problem, states = _solve_states(cfg)
-    if not states:
-        raise NumericalError("no bound state to take observables on")
-    values = mean_values(_requested_state(states, cfg), problem)
+    problem = cfg.problem()
+    values = mean_values(_requested_state(solve(problem), cfg), problem)
     for name, value in values.items():
         print(f"  {name:>18} = {_fmt(value)}")
     _write(cfg, ["quantity", "value"], [[n, _fmt(v)] for n, v in values.items()])
@@ -389,13 +377,9 @@ def run_scan_n(cfg: RunConfig) -> None:
 
 def run_wavefunction(cfg: RunConfig) -> None:
     grid = cfg.required("wave.grid")
-    space = cfg.choice("wave.space")
-    problem, states = _solve_states(cfg)
-    if not states:
-        raise NumericalError("no bound state to export")
-    state = _requested_state(states, cfg)
+    state = _requested_state(solve(cfg.problem()), cfg)
     print(f"state (n={state.n}, l={state.l})  energy = {_fmt(state.energy)}")
-    if space == "momentum":
+    if cfg["wave.space"] == "momentum":
         header = ["q", "u"]
         values = wavefunction_momentum(state, grid)
     else:
@@ -405,18 +389,13 @@ def run_wavefunction(cfg: RunConfig) -> None:
 
 
 def run_compare(cfg: RunConfig) -> None:
-    # the configuration solve goes first: it refuses kinetics it cannot take
-    # before any momentum solve
-    config_problem = cfg.config_problem()
-    config_states = solve_config(config_problem)
-    problem, states = _solve_states(cfg)
-    if not states:
-        raise NumericalError("no momentum-space bound state to compare")
-    n = cfg["wave.state"]
-    if n >= len(states) or n >= len(config_states):
-        raise NumericalError("requested state not bound in both spaces")
-    mom = mean_values(states[n], problem)
-    conf = config_mean_values(config_states[n], config_problem)
+    # the configuration solve goes first: it refuses kinetics it cannot take,
+    # and a state it does not bind, before any momentum solve
+    config_problem = cfg.problem(cfg["mesh.N_r"], cfg.required("mesh.h_r"))
+    config_state = _requested_state(solve_config(config_problem), cfg, "configuration-space ")
+    problem = cfg.problem()
+    mom = mean_values(_requested_state(solve(problem), cfg, "momentum-space "), problem)
+    conf = config_mean_values(config_state, config_problem)
     rows = []
     for name in ("energy", "x_mean", "potential_mean", "q2_mean", "hamiltonian_mean"):
         key = _MEAN_KEYS.get(name, name)
@@ -429,7 +408,7 @@ def run_compare(cfg: RunConfig) -> None:
 
 
 def run_table(cfg: RunConfig) -> None:
-    number = cfg.choice("run.table")
+    number = cfg.required("run.table")
     table = _TABLES[number]
     header, columns = ["quantity"], [table.labels]
     if table.reference:

@@ -29,8 +29,8 @@ Its limit: an eigenvalue below about 2^-1022 max|A| is accurate only to
 eps ||A||, not relatively, because its products underflow after the scaling.
 
 A window picks the k pairs to refine: those whose LAPACK eigenvalue lies in
-it, widened by 1e-10 ||A||_2, far above LAPACK's error (at most
-5.9e-15 ||A||_2 on the solver's matrices at N = 10-400). Only those columns
+it, widened by 1e-12 ||A||_2, 170 times LAPACK's largest error (5.9e-15
+||A||_2 on the solver's matrices at N = 10-400). Only those columns
 V enter the split product; U^T R and U C take the whole basis U, LAPACK's
 vectors with the refined columns written back after round 1, and the gap to
 an unrefined pair is taken at its LAPACK eigenvalue. A pair's correction
@@ -67,7 +67,7 @@ from .errors import NumericalError
 __all__ = ["eigh_refined"]
 
 _DEGENERACY_GUARD = 1e-9  # relative gap below which vector mixing is skipped
-_WINDOW_MARGIN = 1e-10  # a window's widening, relative to ||A||_2: above LAPACK's error
+_WINDOW_MARGIN = 1e-12  # a window's widening, relative to ||A||_2: above LAPACK's error
 # (setter, getter) of the OpenBLAS thread count: the suffixed names of the
 # scipy-openblas wheels NumPy ships, and the plain names of a system OpenBLAS
 _BLAS_THREAD_SYMBOLS = (

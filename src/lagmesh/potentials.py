@@ -73,11 +73,13 @@ def partial_wave_gaussian(l: int, p, q, a: float, b: float):
     tests/test_potentials.py), the worst |dV|/max|V| over the sampled pairs
     is 1.3e-15 for l <= 8, 2.3e-15 for l <= 18 and 9.4e-15 for l <= 26.
     Past l = 26 = ``specfun.MAX_DEGREE`` the series' e^y overflows below
-    the branch point (709 < 27^2), so other degrees raise ``ValueError``,
-    as does the first momentum that is not finite and >= 0, by name.
+    the branch point (709 < 27^2), so other degrees raise ``ValueError``.
+    So do an a or b that is not finite and > 0, and the first momentum that
+    is not finite and >= 0, each by name.
     """
     if not 0 <= l <= MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {l}")
+    _require_positive("the Gaussian kernel", a=a, b=b)
     p_arr, q_arr = _momenta(p, q, "the Gaussian kernel is")
     with np.errstate(over="ignore"):  # an infinite y or gap gives the limit 0
         y = np.atleast_1d(p_arr * q_arr / (2.0 * b * b))
@@ -111,15 +113,12 @@ def partial_wave_yukawa(l: int, p, q, a: float, b: float):
     p p' -> 0 limit: -2a/(pi (b^2 + p^2 + p'^2)) for l = 0, which it equals
     there to rounding, and 0 for l >= 1, below 2^-500 |V_0|. Where
     d < 2^-1000, p p' overflow included, p p' > 2^999 b^2, so |V| and the
-    same limit are both below 2^-990 a / b^2, and the limit is taken. The
-    first momentum that is not finite and >= 0 raises ``ValueError``
-    naming it.
+    same limit are both below 2^-990 a / b^2, and the limit is taken. An a
+    or b that is not finite and > 0, and the first momentum that is not
+    finite and >= 0, raise ``ValueError`` naming it.
     """
-    if b <= 0.0:
-        raise ConfigurationError(
-            "Yukawa screening mass must be positive; b = 0 puts the Q_l "
-            "argument on its logarithmic singularity at p = p'"
-        )
+    # b = 0 would put the Q_l argument on its logarithmic singularity at p = p'
+    _require_positive("the Yukawa kernel", a=a, b=b)
     p_arr, q_arr = _momenta(p, q, "the Yukawa kernel is")
     # grouping keeps V_l(p, p') == V_l(p', p) bit for bit
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

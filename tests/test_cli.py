@@ -116,6 +116,28 @@ class TestConfigParsing:
         assert run_cli(["--config", str(cfg), "--task", task]) == 1
         assert f"configuration error: unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, args, named",
+        [
+            ("wave.space = positon", ["--task", "observables", "--g", "15", "--N", "20", "--h", "0.5"],
+             "wave.space 'positon'"),
+            ("problem.kinetics = salpter", ["--task", "table", "--table", "1"], "problem.kinetics 'salpter'"),
+        ],
+        ids=["space-unread-by-observables", "kinetics-unread-by-table"],
+    )
+    def test_value_outside_its_choices_is_refused_whatever_the_task(
+        self, tmp_path, capsys, monkeypatch, line, args, named
+    ):
+        def no_solve(problem):
+            pytest.fail("solved a configuration that names an unknown choice")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli, "solve_config", no_solve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        assert run_cli(["--config", str(cfg)] + args) == 1
+        assert f"configuration error: unknown {named}; choose from" in capsys.readouterr().err
+
     def test_unknown_task_in_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("run.task = frobnicate\n")
@@ -236,17 +258,34 @@ class TestObservablesTask:
         )
         assert run_cli(["--config", str(cfg)]) == 1
 
-    @pytest.mark.parametrize("task", ["observables", "wavefunction"])
-    def test_state_past_last_bound_is_numerical_failure(self, tmp_path, task):
-        # one bound state (n = 0) at N = 20, h = 0.5
+    @pytest.mark.parametrize(
+        "task, space",
+        [("observables", ""), ("wavefunction", ""), ("compare", "configuration-space ")],
+        ids=["observables", "wavefunction", "compare"],
+    )
+    def test_state_past_last_bound_is_numerical_failure(self, tmp_path, capsys, monkeypatch, task, space):
+        # one bound state (n = 0) at N = 20, h = 0.5, and in configuration
+        # space at N_r = 20, h_r = 0.4, which compare checks before its momentum solve
+        if task == "compare":
+            monkeypatch.setattr(cli, "solve", lambda problem: pytest.fail("compare solved in momentum space"))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 20\nmesh.h = 0.5\n"
+            "problem.g = 15.0\nproblem.potential = gaussian\nmesh.N = 20\nmesh.h = 0.5\nmesh.h_r = 0.4\n"
             f"run.task = {task}\nrun.out = {tmp_path / 'out.csv'}\n"
             "wave.grid = 0.5,1.0\nwave.state = 1\n"
         )
         assert run_cli(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"numerical failure: wave.state = 1, but only 1 {space}bound state(s)" in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_configuration_error(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+        args = ["--task", "solve", "--g", "15", "--N", "10", "--h", "0.5", "--out", str(out)]
+        assert run_cli(args) == 1
+        assert f"configuration error: cannot write {out}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestScanTasks:
@@ -638,8 +677,9 @@ class TestCompareTask:
 
 
 class TestTableTask:
-    def test_table_number_required(self):
+    def test_table_number_required(self, capsys):
         assert run_cli(["--task", "table"]) == 1
+        assert "configuration error: run.table is required for task table" in capsys.readouterr().err
 
     def test_table_one_headers_and_benchmark_cell(self, tmp_path):
         out = tmp_path / "t1.csv"

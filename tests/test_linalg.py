@@ -189,6 +189,17 @@ def test_eigenvalue_at_the_window_edge_is_classified_as_the_full_path_does():
     assert misread  # without the margin, some window would drop or keep the wrong pair
 
 
+@pytest.mark.parametrize(
+    "problem, bound",
+    [(yukawa10(size=200), 2), (gauss15(size=200), 1)],
+    ids=["yukawa_N200", "gaussian_N200"],
+)
+def test_bound_window_refines_only_the_bound_pairs(problem, bound):
+    # the margin is far below the gap to the first continuum pair
+    w, _, _ = eigh_refined(assemble_hamiltonian(problem), (-math.inf, 0.0))
+    assert len(w) == bound and np.all(w < 0.0)
+
+
 def test_narrow_window_works_in_three_matrices():
     # LAPACK's basis, A1 and the A2 tail; the rest is N x k
     a = _yukawa_hamiltonian(size=400)

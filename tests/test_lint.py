@@ -59,6 +59,12 @@ def test_public_names_are_documented():
 
 
 
+def test_every_task_has_one_runner():
+    # main calls run_<task>, with "-" read as "_", for each task it accepts
+    runners = sorted(name for name in vars(cli) if name.startswith("run_"))
+    assert runners == sorted("run_" + task.replace("-", "_") for task in cli.TASKS)
+
+
 def test_readme_lists_every_config_key():
     # the README's key table names each key the command line reads, once
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -301,6 +301,15 @@ class TestPotentialSpecs:
         with pytest.raises(ConfigurationError, match=f"got {name} = {value!r}"):
             potential(**params)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
+    @pytest.mark.parametrize("kernel", [partial_wave_gaussian, partial_wave_yukawa])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_kernel_refuses_a_parameter_by_name(self, kernel, name, value):
+        # the rule the potential classes apply, on the public kernels themselves
+        params = {"a": 10.0, "b": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=f"got {name} = {value!r}"):
+            kernel(0, 1.0, 2.0, **params)
+
     def test_custom_kernel_goes_through_quadrature(self):
         custom = CustomPotential(fourier=lambda k: vft_gaussian(k, 1.0, 1.0))
         kernel = custom.kernel(0)
