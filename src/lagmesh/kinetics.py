@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ConfigurationError, _require_positive
 
@@ -70,24 +70,20 @@ class CustomKinetic:
     """Arbitrary kinetic operator given as a function of p^2.
 
     Supports unusual dispersion laws such as momentum-dependent masses,
-    T = sqrt(p^2 + m^2(p^2)); no smoothness is assumed. Selecting bound
-    states requires an explicit energy window.
+    T = sqrt(p^2 + m^2(p^2)); no smoothness is assumed. The bound-state
+    window (lower, upper), lower < upper, is part of the operator.
     """
 
     t_of_p2: Callable[[float], float]
-    window: Optional[tuple[float, float]] = None
+    window: tuple[float, float]
 
     def __post_init__(self):
-        if self.window is not None and not self.window[0] < self.window[1]:
+        if not self.window[0] < self.window[1]:
             raise ConfigurationError(f"a bound-state window needs lower < upper, got {self.window!r}")
 
     def value(self, p: float) -> float:
         return self.t_of_p2(p * p)
 
     def bound_window(self) -> tuple[float, float]:
-        if self.window is None:
-            raise ConfigurationError(
-                "a custom kinetic operator needs an explicit bound-state window"
-            )
         return self.window
 

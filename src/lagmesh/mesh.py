@@ -25,16 +25,18 @@ class LaguerreMesh:
     """Zeros and weights of the N-point Gauss-Laguerre rule plus a scale.
 
     ``nodes`` and ``weights`` are dimensionless; ``scale`` maps node i onto
-    the physical momentum (or length) scale * nodes[i]. Instances are
-    immutable and safe to share.
+    the physical momentum (or length) scale * nodes[i]; ``size`` is the
+    number of nodes. Instances are immutable and safe to share.
     """
 
-    size: int
     nodes: np.ndarray
     weights: np.ndarray
     scale: float
 
     def __post_init__(self):
+        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
+            shapes = f"{self.nodes.shape} and {self.weights.shape}"
+            raise ConfigurationError(f"mesh nodes must be 1-D, weights of their shape: {shapes}")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
         if np.any(self.nodes <= 0.0) or np.any(np.diff(self.nodes) <= 0.0):
@@ -48,6 +50,10 @@ class LaguerreMesh:
             raise NumericalError(
                 f"quadrature normalization off by {norm - 1.0:.3e} for N={self.size}"
             )
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
 
 
 @lru_cache(maxsize=128)
@@ -69,7 +75,7 @@ def build_mesh(size: int, scale: float) -> LaguerreMesh:
     if not 0.0 < scale < math.inf:
         raise ConfigurationError(f"mesh scale factor must be positive and finite, got {scale!r}")
     nodes, weights = _nodes_and_weights(size)
-    return LaguerreMesh(size=size, nodes=nodes, weights=weights, scale=scale)
+    return LaguerreMesh(nodes, weights, scale)
 
 
 def lagrange_expansion(mesh: LaguerreMesh, coefficients, x) -> np.ndarray:
@@ -135,18 +141,20 @@ def radial_form(mesh: LaguerreMesh, l: int) -> np.ndarray:
 
 
 def _node_values(mesh: LaguerreMesh, f, what: str) -> np.ndarray:
-    """f(scale * x_j) at every node, refusing a non-finite value.
+    """f(scale * x_j) at every node, refusing a non-finite value."""
+    return _point_values(f, mesh.scale * mesh.nodes, what, "mesh node", "scale * x")
 
-    The NumericalError names ``what``, the first failing mesh node (1-based)
-    and its scaled point.
-    """
-    points = mesh.scale * mesh.nodes
-    values = np.array([f(point) for point in points], dtype=float)
+
+def _point_values(f, points: np.ndarray, what: str, where: str, name: str) -> np.ndarray:
+    """f at each point of a 1-D array, passed as a Python float. A non-finite
+    value raises NumericalError naming ``what``, the first such point as
+    ``where`` and its 1-based index, and its value as ``name``."""
+    values = np.array([f(point) for point in points.tolist()], dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0])
         raise NumericalError(
-            f"{what} contains non-finite values, first at mesh node {k + 1} "
-            f"(scale * x = {float(points[k])!r})"
+            f"{what} contains non-finite values, first at {where} {k + 1} "
+            f"({name} = {float(points[k])!r})"
         )
     return values

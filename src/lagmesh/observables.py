@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, _require_integer
 from .linalg import eigh_refined
-from .mesh import _node_values, build_mesh, lagrange_expansion, radial_form
+from .mesh import _node_values, _point_values, build_mesh, lagrange_expansion, radial_form
 from .solver import BoundState, ProblemSpec
 from .specfun import _domain_points, spherical_bessel_j
 
@@ -107,12 +107,7 @@ def expval_radial(state: BoundState, k) -> float:
     """
     eigenvalues, transform = build_position_calculus(state.mesh.size, state.l)
     radii = np.sqrt(eigenvalues) / state.mesh.scale
-    diag = np.array([k(r) for r in radii.tolist()], dtype=float)
-    if not np.all(np.isfinite(diag)):
-        bad = int(np.flatnonzero(~np.isfinite(diag))[0])
-        raise NumericalError(
-            f"radial observable not finite at spectral point r={float(radii[bad])!r}"
-        )
+    diag = _point_values(k, radii, "radial observable", "spectral point", "r")
     projected = transform.T @ state.coefficients
     return float(np.dot(diag, projected * projected))
 

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, _require_positive
-from .specfun import MAX_DEGREE, _bessel_series, _domain_points, legendre_p, legendre_q
+from .mesh import _point_values
+from .specfun import MAX_DEGREE, _bessel_series, _domain_points, legendre_q
 
 __all__ = [
     "GaussianPotential",
@@ -168,15 +169,17 @@ def partial_wave_numeric(l: int, p: float, q: float, v_ft: Callable[[float], flo
         zero, or
       - below the smallest normal double, where no relative precision exists
         (subnormal kernels far off the diagonal).
-    Failure to agree past order 1024 raises ``NumericalError``.
+    Failure to agree past order 1024 raises ``NumericalError``, and so does
+    a non-finite V_FT, at once, naming its k.
     """
+    legendre = np.polynomial.legendre.Legendre.basis(l)  # P_l, refusing l < 0
     previous = None
     order = 32
     while order <= 1024:
         t, w = _gauss_legendre_rule(order)
         k = np.sqrt(p * p + q * q - 2.0 * p * q * t)
-        values = np.array([v_ft(kk) for kk in k], dtype=float)
-        integrand = legendre_p(l, t) * values
+        values = _point_values(v_ft, k, "V_FT", "quadrature point", "k")
+        integrand = legendre(t) * values
         estimate = 2.0 * math.pi * float(np.dot(w, integrand))
         if previous is not None:
             rounding = 2.0 * math.pi * _ROUNDING_SCALE * float(np.dot(w, np.abs(integrand)))

@@ -170,5 +170,4 @@ def solve(problem: ProblemSpec) -> list[BoundState]:
     comes from ``lagmesh.linalg.eigh_refined(assemble_hamiltonian(problem))``,
     without the checks a solve applies.
     """
-    problem.kinetic.bound_window()  # a missing window fails before the solve
     return list(_solve_cached(assemble_hamiltonian, problem))

@@ -2,7 +2,7 @@
 
 Everything here is a pure real-valued function: Laguerre polynomials, their
 zeros and the associated Gauss quadrature weights, Legendre functions of
-both kinds, and spherical Bessel functions.
+the second kind, and spherical Bessel functions.
 """
 
 import math
@@ -16,7 +16,6 @@ __all__ = [
     "laguerre_weighted",
     "laguerre_zeros",
     "laguerre_weights",
-    "legendre_p",
     "legendre_q",
     "spherical_bessel_j",
 ]
@@ -203,20 +202,6 @@ def laguerre_weighted(zeros, x):
     sign = -1.0 if zeros.size % 2 else 1.0
     out = np.ldexp(sign * product / factorial_mant * scaled, exponent - factorial_exp + n)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
-
-
-def legendre_p(l: int, t):
-    """Legendre polynomial P_l(t) by the Bonnet recurrence (array friendly)."""
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
-    p_prev = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    if l == 0:
-        return p_prev
-    p = t
-    for k in range(1, l):
-        p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
-    return p
 
 
 MAX_DEGREE = 26  # highest l of legendre_q and of the analytic partial-wave kernels

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +23,9 @@ from lagmesh import configspace, linalg
 from lagmesh import solver as solver_module
 from lagmesh.mesh import build_mesh
 from lagmesh.observables import expval_momentum, mean_values
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -101,6 +107,13 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
 
+    def test_coupling_conflicts_with_salpeter_kinetics(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem.g = 15.0\nproblem.kinetics = salpeter\nmesh.N = 20\nmesh.h = 0.5\n")
+        assert run_cli(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: the dimensionless coupling problem.g assumes nonrelativistic" in err
+
     @pytest.mark.parametrize(
         "lines, task, key",
         [
@@ -158,6 +171,25 @@ class TestConfigParsing:
             assert choices in out
 
 
+def test_module_entry_point(tmp_path):
+    # python -m lagmesh runs main and exits with its code
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*args):
+        command = [sys.executable, "-m", "lagmesh", *args]
+        return subprocess.run(command, capture_output=True, text=True, env=env)
+
+    solved = run("--task", "solve", "--g", "15", "--N", "10", "--h", "0.5")
+    assert solved.returncode == 0
+    assert "(n=0, l=0)  energy = -5.37" in solved.stdout
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem.g = 15\nmesh.nodes = 10\n")
+    refused = run("--config", str(cfg))
+    assert refused.returncode == 1
+    assert "configuration error: unknown config key 'mesh.nodes'" in refused.stderr
+
+
 class TestSolveTask:
     def test_benchmark_summary(self, capsys):
         code = run_cli(
@@ -165,6 +197,10 @@ class TestSolveTask:
         )
         assert code == 0
         assert "-5.37759990706" in capsys.readouterr().out
+
+    def test_no_bound_state_is_reported(self, capsys):
+        assert run_cli(["--task", "solve", "--g", "0.1", "--N", "20", "--h", "0.5"]) == 0
+        assert "  none inside the bound-state window" in capsys.readouterr().out
 
     def test_missing_strength_is_configuration_error(self):
         assert run_cli(["--task", "solve", "--potential", "gaussian", "--N", "10", "--h", "0.5"]) == 1
@@ -372,8 +408,11 @@ class TestScanTasks:
         [
             ("10:20:4", "scan.N points must be integers, got 13.333333333333334"),
             ("10:inf:3", "scan.N points must be finite, got inf"),
+            ("10:20", "scan.N must be 'start:stop:count', got '10:20'"),
+            ("10:20:0", "scan.N count must be >= 1, got 0"),
+            (",", "scan.N is empty: ','"),
         ],
-        ids=["fraction", "infinite-end"],
+        ids=["fraction", "infinite-end", "no-count", "zero-count", "empty"],
     )
     def test_size_grid_refusal_names_the_key_and_point(self, tmp_path, capsys, grid, message):
         cfg = tmp_path / "scan.cfg"

@@ -34,12 +34,12 @@ def test_bound_windows():
 
 
 def test_custom_kinetic_window_required():
-    kin = CustomKinetic(t_of_p2=lambda p2: math.sqrt(p2 + 1.0))
+    # a kinetic operator without a bound-state window cannot be built
+    with pytest.raises(TypeError, match="window"):
+        CustomKinetic(t_of_p2=lambda p2: math.sqrt(p2 + 1.0))
+    kin = CustomKinetic(t_of_p2=lambda p2: math.sqrt(p2 + 1.0), window=(-1.0, 0.0))
     assert kin.value(3.0) == pytest.approx(math.sqrt(10.0), rel=1e-15)
-    with pytest.raises(ConfigurationError):
-        kin.bound_window()
-    windowed = CustomKinetic(t_of_p2=lambda p2: p2, window=(-1.0, 0.0))
-    assert windowed.bound_window() == (-1.0, 0.0)
+    assert kin.bound_window() == (-1.0, 0.0)
 
 
 @pytest.mark.parametrize("mass", [1e200, 1e308])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagmesh.errors import ConfigurationError, NumericalError
-from lagmesh.mesh import _node_values, build_mesh, lagrange_function
+from lagmesh.mesh import LaguerreMesh, _node_values, build_mesh, lagrange_function
 
 
 class TestBuildMesh:
@@ -43,6 +43,31 @@ class TestBuildMesh:
         build_mesh(1, 0.5)
         with pytest.raises(ConfigurationError, match=f"got size = {size!r}"):
             build_mesh(size, 0.5)
+
+
+class TestLaguerreMesh:
+    def test_size_is_the_node_count(self):
+        m = build_mesh(10, 1.0)
+        assert LaguerreMesh(m.nodes.copy(), m.weights.copy(), 1.0).size == 10
+        with pytest.raises(TypeError, match="size"):
+            LaguerreMesh(size=3, nodes=m.nodes.copy(), weights=m.weights.copy(), scale=1.0)
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda x, w: (x.reshape(2, 5), w.reshape(2, 5)), ConfigurationError, "1-D"),
+            (lambda x, w: (x, w[:9]), ConfigurationError, "weights of their shape"),
+            (lambda x, w: (x[::-1], w[::-1]), NumericalError, "positive and increasing"),
+            (lambda x, w: (x, np.where(np.arange(10) == 4, 0.0, w)), NumericalError, "weights must be positive"),
+            (lambda x, w: (x, w * (1.0 + 1e-9)), NumericalError, "normalization off"),
+        ],
+        ids=["nodes-2d", "weights-shape", "nodes-decrease", "weight-zero", "normalization"],
+    )
+    def test_inconsistent_rule_is_refused(self, change, error, message):
+        m = build_mesh(10, 1.0)
+        nodes, weights = change(m.nodes.copy(), m.weights.copy())
+        with pytest.raises(error, match=message):
+            LaguerreMesh(nodes, weights, 1.0)
 
 
 class TestLagrangeFunction:

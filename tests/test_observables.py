@@ -22,7 +22,7 @@ from lagmesh import (
     wavefunction_position,
 )
 from lagmesh.configspace import mean_values as config_mean_values
-from lagmesh.errors import ConfigurationError
+from lagmesh.errors import ConfigurationError, NumericalError
 from lagmesh.linalg import eigh_refined
 from lagmesh.mesh import lagrange_function, radial_form
 from lagmesh.observables import mean_values
@@ -126,6 +126,15 @@ class TestRadialExpectations:
         r2 = radial_form(mesh, 0) / mesh.scale**2
         direct = float(gauss15_ground.coefficients @ r2 @ gauss15_ground.coefficients)
         assert via_calculus == pytest.approx(direct, abs=1e-10)
+
+
+    def test_non_finite_operator_is_named_at_its_first_spectral_point(self, gauss15_ground):
+        # the radii sqrt(lam_m) / h ascend, so the first one is the smallest
+        eigenvalues, _ = build_position_calculus(50, 0)
+        r = float(np.sqrt(eigenvalues[0]) / gauss15_ground.mesh.scale)
+        message = f"radial observable contains non-finite values, first at spectral point 1 (r = {r!r})"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            expval_radial(gauss15_ground, lambda r: math.nan)
 
 
 class TestHamiltonianConsistency:

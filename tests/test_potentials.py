@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EDGE_POINTS, assert_finite_or_named
-from lagmesh.errors import ConfigurationError
+from lagmesh.errors import ConfigurationError, NumericalError
 from lagmesh.mesh import build_mesh
 from lagmesh.potentials import (
     CustomPotential,
@@ -251,6 +251,23 @@ class TestNumericKernel:
         assert abs(num - exact) <= 4 * np.finfo(float).smallest_subnormal
 
 
+    def test_non_finite_transform_is_refused_at_its_first_point(self):
+        # refused at once, naming k at the first node of the 32-point rule
+        calls = []
+
+        def v_ft(k):
+            calls.append(k)
+            return math.nan
+
+        with pytest.raises(NumericalError, match=r"V_FT contains non-finite values, first at quadrature point 1 \(k = "):
+            partial_wave_numeric(0, 1.0, 2.0, v_ft)
+        assert len(calls) == 32
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            partial_wave_numeric(-1, 1.0, 2.0, lambda k: 0.25)
+
+
 class TestKernelProperties:
     @given(momenta, momenta, st.integers(0, 26), st.integers(0, 26))
     def test_symmetry_is_exact(self, p, q, l_gauss, l_yukawa):
@@ -272,6 +289,11 @@ class TestKernelProperties:
         assert_finite_or_named(
             lambda: partial_wave_yukawa(l, p, q, 10.0, 1.0), [("p", p), ("p'", q)]
         )
+
+    @pytest.mark.parametrize("kernel", [partial_wave_gaussian, partial_wave_yukawa])
+    def test_momenta_of_different_shapes_are_refused(self, kernel):
+        with pytest.raises(ValueError, match=r"p and p' differ in shape: \(2,\) vs \(3,\)"):
+            kernel(0, np.ones(2), np.ones(3), 10.0, 1.0)
 
     @given(momenta, momenta)
     def test_s_wave_kernels_attractive(self, p, q):

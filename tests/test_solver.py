@@ -231,10 +231,9 @@ class TestBoundStates:
         problem = ProblemSpec(DIMENSIONLESS, GaussianPotential(0.1, 1.0), 0, 30, 0.5)
         assert solve(problem) == []
 
-    def test_missing_window_refused_before_the_solve(self, no_eigensolver):
-        problem = ProblemSpec(CustomKinetic(lambda p2: p2), GaussianPotential(15.0, 1.0), 0, 6, 0.7)
-        with pytest.raises(ConfigurationError, match="window"):
-            solve(problem)
+    def test_negative_partial_wave_is_refused(self):
+        with pytest.raises(ConfigurationError, match="partial wave must be >= 0, got -1"):
+            gauss15(l=-1)
 
     @pytest.mark.parametrize("field, value", [("l", 1.0), ("l", True), ("size", 20.0)])
     def test_non_integer_field_is_refused_after_a_cached_solve(self, field, value):

@@ -15,7 +15,6 @@ from lagmesh.specfun import (
     laguerre_weighted,
     laguerre_weights,
     laguerre_zeros,
-    legendre_p,
     legendre_q,
     spherical_bessel_j,
 )
@@ -324,17 +323,6 @@ class TestLaguerreWeights:
         assert np.all(np.abs(weights - reference) <= 5e-14 * np.array(reference))
 
 
-class TestLegendreP:
-    def test_low_degrees(self):
-        assert legendre_p(0, 0.3) == 1.0
-        assert legendre_p(1, 0.3) == 0.3
-        assert legendre_p(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-
-    @given(st.integers(0, 12), st.floats(-1.0, 1.0))
-    def test_bounded_on_interval(self, l, t):
-        assert abs(legendre_p(l, t)) <= 1.0 + 1e-12
-
-
 class TestLegendreQ:
     # legendre_q takes the offset d = x - 1
     def test_closed_forms_at_two(self):
@@ -348,7 +336,7 @@ class TestLegendreQ:
         # Q_l(x) = 1/2 int_{-1}^{1} P_l(t)/(x - t) dt, Gauss-Legendre + fsum;
         # x - 1 is exact for these x
         t, w = np.polynomial.legendre.leggauss(400)
-        direct = 0.5 * math.fsum(w * legendre_p(l, t) / (x - t))
+        direct = 0.5 * math.fsum(w * np.polynomial.legendre.Legendre.basis(l)(t) / (x - t))
         mine = legendre_q(l, x - 1.0)
         assert abs(mine - direct) <= 1e-9 * max(1.0, abs(direct))
 
