@@ -226,6 +226,11 @@ class RunConfig:
             raise ConfigurationError(f"wave.grid points must be >= 0, got {grid[0]!r}")
         if self["wave.state"] < 0:
             raise ConfigurationError(f"wave.state must be >= 0, got {self['wave.state']}")
+        out = self["run.out"]
+        if out is not None:  # checked before any solve; the file is written only after
+            folder = os.path.dirname(out) or os.curdir
+            if os.path.isdir(out) or not os.access(folder, os.W_OK | os.X_OK):
+                raise ConfigurationError(f"cannot write {out}: not a file in a writable directory")
 
     def __getitem__(self, key: str):
         return self.values[key]

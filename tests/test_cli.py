@@ -316,12 +316,24 @@ class TestObservablesTask:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-    def test_unwritable_out_is_configuration_error(self, tmp_path, capsys, where):
+    def test_unwritable_out_is_configuration_error(self, tmp_path, capsys, monkeypatch, where):
+        # refused when the config loads, before the computation
+        monkeypatch.setattr(cli, "solve", lambda problem: pytest.fail("solved before checking run.out"))
         out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
         args = ["--task", "solve", "--g", "15", "--N", "10", "--h", "0.5", "--out", str(out)]
         assert run_cli(args) == 1
         assert f"configuration error: cannot write {out}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_failed_write_after_the_computation_is_configuration_error(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, header, rows):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", full_disk)
+        out = tmp_path / "out.csv"
+        args = ["--task", "solve", "--g", "15", "--N", "10", "--h", "0.5", "--out", str(out)]
+        assert run_cli(args) == 1
+        assert f"configuration error: cannot write {out}: [Errno 28]" in capsys.readouterr().err
 
 
 class TestScanTasks:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DIMENSIONLESS, gauss15, salpeter_gauss, yukawa10
-from lagmesh import ProblemSpec, YukawaPotential, assemble_hamiltonian
+from lagmesh import ProblemSpec, YukawaPotential, assemble_hamiltonian, linalg
 from lagmesh.configspace import assemble_config_hamiltonian
 from lagmesh.errors import NumericalError
 from lagmesh.linalg import eigh_refined
@@ -123,6 +123,62 @@ def test_ascending_spectrum_skips_the_sort_bit_for_bit(monkeypatch):
     assert v.flags.c_contiguous and v.tobytes() == v_sorted.tobytes()
 
 
+def _plain_start(monkeypatch):
+    """Send every matrix to LAPACK as np.linalg.eigh(a), whatever its entries."""
+    monkeypatch.setattr(linalg, "_flushed", lambda a, out: None)
+
+
+_FLUSHED_PROBLEMS = {f"table1-N{n}": gauss15(size=n, scale=0.5) for n in (10, 20, 50)}
+_FLUSHED_PROBLEMS |= {f"table2-N{n}": salpeter_gauss(size=n, scale=0.5) for n in (10, 20, 50)}
+_FLUSHED_PROBLEMS |= {
+    f"gaussian-N200-h{h}": gauss15(size=200, scale=h) for h in (0.35, 0.55, 0.75, 0.95, 1.15, 1.35)
+}
+
+
+@pytest.mark.parametrize("problem", _FLUSHED_PROBLEMS.values(), ids=_FLUSHED_PROBLEMS.keys())
+def test_flushed_start_keeps_the_bound_energies_bit_for_bit(problem, monkeypatch):
+    a = assemble_hamiltonian(problem)
+    window = problem.kinetic.bound_window()
+    assert linalg._flushed(a, np.empty_like(a)) is not None  # the Gaussian tail is below its grid
+    w, v, norm = eigh_refined(a, window)
+    _plain_start(monkeypatch)
+    w_plain, v_plain, norm_plain = eigh_refined(a, window)
+    assert len(w) and w.tobytes() == w_plain.tobytes()
+    v_plain *= np.sign(np.sum(v * v_plain, axis=0))
+    # the floor of the split product, far below an ulp of the coefficients
+    assert np.abs(v - v_plain).max() <= EPS / 1024 * np.abs(v).max()
+    assert norm == pytest.approx(norm_plain, rel=1e-14)  # LAPACK's largest eigenvalue
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _yukawa_hamiltonian(size=400), lambda: radial_form(build_mesh(400, 1.0), 0)],
+    ids=["yukawa_N400", "r2_N400"],
+)
+def test_matrix_on_its_double_grid_takes_the_plain_start(build, monkeypatch):
+    # no entry is below (eps/N) sqrt(|a_ii a_jj|): LAPACK gets a itself
+    a = build()
+    w, v, norm = eigh_refined(a)
+    _plain_start(monkeypatch)
+    w_plain, v_plain, norm_plain = eigh_refined(a)
+    assert w.tobytes() == w_plain.tobytes() and v.tobytes() == v_plain.tobytes() and norm == norm_plain
+
+
+def test_flush_takes_the_local_grid_of_each_pair():
+    # (eps/3) sqrt(|a_ii a_jj|) is 3.7e-27, 3.7e-7 and 3.7e-17 for the pairs
+    # (0, 1), (1, 2) and (0, 2): only a_02 is below its grid, and a global
+    # (eps/3) max|A| = 3.7e3 would flush all three
+    a = np.diag([1e-20, 1.0, 1e20])
+    a[0, 1] = a[1, 0] = 1e-17
+    a[1, 2] = a[2, 1] = 1e-6
+    a[0, 2] = a[2, 0] = 1e-17
+    start = linalg._flushed(a, np.empty_like(a))
+    expected = a.copy()
+    expected[0, 2] = expected[2, 0] = 0.0
+    np.testing.assert_array_equal(start, expected)
+    assert linalg._flushed(np.diag([1.0, 2.0]), np.empty((2, 2))) is None  # zeros are on the grid
+
+
 def test_refinement_workspace_is_bounded():
     # a1, vh, vl and four work buffers: about 7.4 matrices beyond the input
     a = _yukawa_hamiltonian(size=200)
@@ -200,9 +256,15 @@ def test_bound_window_refines_only_the_bound_pairs(problem, bound):
     assert len(w) == bound and np.all(w < 0.0)
 
 
-def test_narrow_window_works_in_three_matrices():
-    # LAPACK's basis, A1 and the A2 tail; the rest is N x k
-    a = _yukawa_hamiltonian(size=400)
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _yukawa_hamiltonian(size=400), lambda: assemble_hamiltonian(gauss15(size=400))],
+    ids=["yukawa_N400", "gaussian_N400"],
+)
+def test_narrow_window_works_in_three_matrices(build):
+    # LAPACK's basis, A1 and the A2 tail; the rest is N x k. A flushed start
+    # is built in A1's buffer
+    a = build()
     tracemalloc.start()
     try:
         eigh_refined(a, (-math.inf, 0.0))
