@@ -28,45 +28,46 @@ The scaling is exact, and it keeps every split grid inside the double range.
 Its limit: an eigenvalue below about 2^-1022 max|A| is accurate only to
 eps ||A||, not relatively, because its products underflow after the scaling.
 
-LAPACK gets A itself unless A has a nonzero entry below its local double
-grid, |a_ij| < (eps/N) sqrt(|a_ii a_jj|) with eps = 2^-53; the bound is
-local, after Demmel & Veselic (SIAM J. Matrix Anal. Appl. 13 (1992) 1204),
-so a graded matrix keeps its small couplings. The Gaussian kernel leaves
-most of H there, and LAPACK's tridiagonal reduction, dsytrd, reading the
-lower triangle from the small-momentum corner, crawls through their
-subnormal products. Such an A reaches LAPACK with those entries set to 0,
-in A1's buffer, and LAPACK reads its upper triangle, so the reduction
-starts at the large-momentum end, where the zeros are: eigh on the
-Gaussian H at N = 200 takes 2.9 ms instead of 7.0 (one BLAS thread). The
-flush moves A by ||E||_2 <= (eps/N) sum|a_ii| <= eps ||A||_2, within
-LAPACK's own backward error, and the refinement runs on the exact A. Any
-other matrix keeps LAPACK's old start: a new one moves the pairs that the
-degeneracy guard leaves unmixed (the Yukawa N = 400 mean potential, from
-the r^2 calculus, by 1e-9).
+LAPACK gets one start, in A1's buffer: A with every entry below its local
+double grid, |a_ij| < (eps/N) sqrt(|a_ii a_jj|) with eps = 2^-53, set to 0
+(a local bound, after Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13
+(1992) 1204, so graded matrices keep their small couplings), read from the
+upper triangle. Most of the Gaussian H is below its grid, and LAPACK's
+reduction dsytrd then starts at its large-momentum end, among the zeros,
+instead of in subnormal products: 2.9 ms instead of 7.0 at N = 200 (one
+BLAS thread). The flush moves A by at most eps ||A||_2, within LAPACK's own
+error, and the refinement runs on the exact A.
 
-A window picks the k pairs to refine: those whose LAPACK eigenvalue lies in
-it, widened by 1e-12 ||A||_2, 500 times LAPACK's largest error (2.0e-15
-||A||_2 on the solver's matrices at N = 10-400; the flushed starts of 378
-Gaussian and Salpeter matrices stay below 1.1e-15). Only those columns
-V enter the split product; U^T R and U C take the whole basis U, LAPACK's
-vectors with the refined columns written back after round 1, and the gap to
-an unrefined pair is taken at its LAPACK eigenvalue. A pair's correction
-needs no other refined pair, so on 42 solver matrices a windowed pair's
-eigenvalue equals the full refinement's bit for bit, and its vector agrees
-within 1/128 ulp. The full window, k = N and U = V, is the same algorithm.
+One margin, 1e-12 ||A||_2, about 500 times LAPACK's largest error from this
+start (2.1e-15 ||A||_2 on 42 solver matrices at N = 10-400), widens the
+window and is the gap above which a round mixes two pairs. Two rounds take
+those to the floor of the split product, so the refined pairs depend neither
+on LAPACK's start nor on the BLAS thread count. None of the 42 matrices has
+a closer pair, nor has the r^2 form at N = 400 up to l = 60; at N = 512,
+l = 26 it has 4, among its smallest eigenvalues. Such a pair keeps LAPACK's
+rotation within it, and a round only restores its orthogonality, with
+C_ij = -u_i^T v_j / 2 (Ogita & Aishima's rule for a cluster), from one more
+GEMM.
+
+A window picks the k pairs whose LAPACK eigenvalue lies in it, widened by
+the margin. Only those columns V enter the split product; U^T R and U C take
+the whole basis U, LAPACK's vectors with the refined columns written back
+after round 1, and the gap to an unrefined pair is taken at its LAPACK
+eigenvalue. A pair's correction needs no other refined pair, so on the 42
+matrices a windowed pair's eigenvalue equals the full refinement's bit for
+bit, and its vector agrees within 1/128 ulp. A full window, k = N and U = V,
+is the same algorithm.
 
 A call makes 10 double GEMMs of N x N by N x k, five per round: three for
-the split product, one each for U^T R and U C. The eigenvalues are the
-Rayleigh quotients of round 2, of the vectors after round 1. Their error is
-of order |C_2|^2 ||A||, with C_2 the correction of round 2 (at most 5.6e-17
-at Yukawa N = 400), far below the floor of the split product, so the final
-vectors need no product of their own. Every step writes with ``out=`` into
-a fixed workspace besides the input: with a full window seven N x N arrays
-(A1, vh, vl and four work buffers, one of which holds the tail
-A2 = 2^-e A - A1, rebuilt for round 2); with a narrow one
-LAPACK's basis, A1 and A2, and N x k for the rest. A flushed start lives in
-A1's buffer until LAPACK returns. Strictly ascending
-eigenvalues need no sort, and vh is returned without a copy.
+the split product, one each for U^T R and U C. The eigenvalues are round
+2's Rayleigh quotients, with an error of order |C_2|^2 ||A|| (C_2 is at most
+5.6e-17 at Yukawa N = 400), far below the split product's floor, so the
+final vectors need no product of their own. Every step writes with ``out=``
+into a fixed workspace: with a full window seven N x N arrays (A1, vh, vl
+and four work buffers, one of which holds the tail A2 = 2^-e A - A1,
+rebuilt for round 2); with a narrow one LAPACK's basis, A1, A2 and N x k
+for the rest. Strictly ascending eigenvalues need no sort, and vh is
+returned without a copy.
 
 At N = 200 a second BLAS thread gains nothing, so a caller solving several
 matrices at once can hold OpenBLAS at one thread per solving thread with
@@ -85,8 +86,7 @@ from .errors import NumericalError
 __all__ = ["eigh_refined"]
 
 _EPS = 2.0**-53  # the unit roundoff of a double
-_DEGENERACY_GUARD = 1e-9  # relative gap below which vector mixing is skipped
-_WINDOW_MARGIN = 1e-12  # a window's widening, relative to ||A||_2: above LAPACK's error
+_WINDOW_MARGIN = 1e-12  # LAPACK's error, relative to ||A||_2, with a 500x margin
 # (setter, getter) of the OpenBLAS thread count: the suffixed names of the
 # scipy-openblas wheels NumPy ships, and the plain names of a system OpenBLAS
 _BLAS_THREAD_SYMBOLS = (
@@ -100,25 +100,26 @@ def eigh_refined(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalues (ascending), orthonormal eigenvectors and ||a||_2 of symmetric a.
 
-    LAPACK's ``numpy.linalg.eigh`` finds every pair; the pairs whose LAPACK
-    eigenvalue lies in the window, widened by _WINDOW_MARGIN ||a||_2, get
-    two rounds of residual-form refinement and are returned. ||a||_2 is the
+    LAPACK's ``numpy.linalg.eigh`` finds every pair; those whose LAPACK
+    eigenvalue lies in the window, widened by _WINDOW_MARGIN ||a||_2, get two
+    rounds of residual-form refinement and are returned. ||a||_2 is the
     largest |eigenvalue|, refined where refined. Exact degeneracies are
-    ordered by the index of each vector's largest-magnitude entry, so the
-    output is reproducible.
+    ordered by the index of each vector's largest-magnitude entry.
 
-    A round takes the residual R = A V - V diag(d) of the refined columns V
-    at their Rayleigh quotients d from the split product, forms B = U^T R
-    against the basis U in double BLAS, and corrects V by U C with
-    C_ij = B_ij / (d_j - d_i); pairs closer than the degeneracy guard are
-    not mixed. Each round squares the eigenpair error, so two rounds reach
-    the floor of the split product from any LAPACK start. The eigenvalues
-    are round 2's Rayleigh quotients, rounded once to double; one beyond
-    the double range is a ``NumericalError``.
+    A round takes the residual R = A V - V diag(d) of the refined columns V at
+    their Rayleigh quotients d from the split product, forms B = U^T R against
+    the basis U in double BLAS, and corrects V by U C with C_ij = B_ij /
+    (d_j - d_i), or C_ij = -u_i^T v_j / 2 for a pair within the margin, which
+    only keeps it orthogonal. Each round squares the error of a mixed pair.
+    The eigenvalues are round 2's Rayleigh quotients, rounded once to double.
+    One beyond the double range is a ``NumericalError``; an a that is not a
+    square matrix with at least one row is a ``ValueError``.
     """
     a = np.asarray(a, dtype=float)  # the split grids assume 53-bit doubles
-    start = _flushed(a, np.empty_like(a))  # in the buffer that becomes A1
-    w, basis = np.linalg.eigh(a) if start is None else np.linalg.eigh(start, UPLO="U")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not len(a):
+        raise ValueError(f"eigh_refined needs a square matrix with at least one row, got shape {a.shape}")
+    start = _lapack_start(a, np.empty_like(a))  # in the buffer that becomes A1
+    w, basis = np.linalg.eigh(start, UPLO="U")
     n = len(a)
     lower, upper = window
     margin = _WINDOW_MARGIN * max(-w[0], w[-1])
@@ -127,13 +128,14 @@ def eigh_refined(
     stop = max(first, stop)
     refined, k = slice(first, stop), stop - first
     exponent = np.frexp(max(a.max(), -a.min()))[1]
+    guard = np.ldexp(margin, -exponent)  # the margin, scaled: closer pairs are not mixed
     head = np.ldexp(w, -exponent)  # every d_i: LAPACK's, refined ones replaced
     tail = np.zeros(n)
     bits = (53 - (n - 1).bit_length()) // 2  # N 4^bits <= 2^53
     v1, t, p1, p2 = (np.empty((n, k)) for _ in range(4))
     a2 = p2 if k == n else np.empty_like(a)  # the split tail
     np.ldexp(a, -exponent, out=a2)
-    a1 = _head(a2, _top(a2, axis=1), bits, np.empty_like(a) if start is None else start)
+    a1 = _head(a2, _top(a2, axis=1), bits, start)
     a2 -= a1
     vh = basis if k == n else basis[:, refined].copy()
     vl = np.zeros_like(vh)
@@ -147,11 +149,14 @@ def eigh_refined(
         np.subtract(d_head[None, :], head[:, None], out=t)  # the gaps
         np.subtract(d_tail[None, :], tail[:, None], out=p1)
         t += p1
-        scale = np.max(np.abs(head + tail)) or 1.0
-        safe = np.abs(t, out=p1) > _DEGENERACY_GUARD * scale  # never i = j: the gap is 0
+        mask = np.abs(t, out=p1) > guard  # the pairs to mix
         p1.fill(0.0)
-        np.divide(p2, t, out=p1, where=safe)  # C
-        del safe
+        np.divide(p2, t, out=p1, where=mask)  # C
+        np.logical_not(mask, out=mask)  # the pairs closer than the guard
+        np.fill_diagonal(mask[refined], False)  # but i = j, where the gap is 0
+        if mask.any():  # keep them orthogonal: C_ij = -u_i^T v_j / 2
+            np.multiply(np.matmul(basis.T, vh, out=p2), -0.5, out=p1, where=mask)
+        del mask
         vl += np.matmul(basis, p1, out=t)
         vh, p1 = _normalize(vh, vl, v1, t, p1, p2), vh
         if step == 0 and k == n:
@@ -171,18 +176,12 @@ def eigh_refined(
     return d[order], np.ascontiguousarray(vh[:, order]), norm
 
 
-def _flushed(a: np.ndarray, out: np.ndarray):
-    """a with every nonzero |a_ij| < (eps/N) sqrt(|a_ii a_jj|) set to 0, in out; None if none is.
-
-    Only comparisons touch a, so its subnormal entries cost nothing here.
-    """
+def _lapack_start(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a with every |a_ij| < (eps/N) sqrt(|a_ii a_jj|) set to 0, in out, by comparisons alone."""
     root = np.sqrt(np.abs(np.diagonal(a)))
     np.multiply.outer(root * (_EPS / len(a)), root, out=out)  # the bound
     below = np.less(a, out)
     below &= np.greater(a, np.negative(out, out=out))
-    below &= np.not_equal(a, 0.0)
-    if not below.any():
-        return None
     np.copyto(out, a)
     np.putmask(out, below, 0.0)
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import DIMENSIONLESS, gauss15, salpeter_gauss, yukawa10
-from lagmesh import ProblemSpec, YukawaPotential, assemble_hamiltonian, linalg
+from lagmesh import ProblemSpec, YukawaPotential, assemble_hamiltonian, linalg, solve, solver
+from lagmesh.cli import _usable_cpus
 from lagmesh.configspace import assemble_config_hamiltonian
 from lagmesh.errors import NumericalError
 from lagmesh.linalg import eigh_refined
 from lagmesh.mesh import build_mesh, radial_form
+from lagmesh.observables import build_position_calculus, mean_values
 
 EPS = np.finfo(float).eps
 
@@ -61,20 +64,6 @@ def _spectrum_40_digits(a):
     return reference[order], reference_vectors[:, order]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [_yukawa_hamiltonian, _gaussian_hamiltonian, _r2_form, _graded_config_hamiltonian],
-    ids=["yukawa_h", "gaussian_h", "r2", "config_l1"],
-)
-def test_correctly_rounded_where_longdouble_is_double(build, monkeypatch):
-    # MSVC and macOS-arm64 builds of NumPy have an 8-byte longdouble
-    a = build()
-    reference, _ = _spectrum_40_digits(a)
-    monkeypatch.setattr(np, "longdouble", np.float64)
-    w, *_ = eigh_refined(a)
-    np.testing.assert_array_equal(w, reference)
-
-
 def _exact_quotient_and_norm(a_ints, v):
     """v^T A v / v^T v and v^T v as Fractions, for A as integers times 2^-1074."""
     v_ints = np.array([int(Fraction(x) * 2**1074) for x in v], dtype=object)
@@ -112,6 +101,28 @@ def test_degenerate_spectrum_stays_orthonormal(spectrum, rotated):
     assert np.abs(a @ v - v * w).max() <= 16 * EPS
 
 
+def test_close_pair_is_mixed_to_the_40_digit_vectors():
+    # a relative gap of 1e-11, above the window margin: LAPACK's vectors of the
+    # pair are off by eps ||A|| / gap, about 1e-5, and the refinement must mix them
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+    a = q @ np.diag([1.0, 1.0 + 1e-11, 2.0, 3.0]) @ q.T
+    a = (a + a.T) / 2
+    reference, reference_vectors = _spectrum_40_digits(a)
+    w, v, _ = eigh_refined(a)
+    np.testing.assert_array_equal(w, reference)
+    reference_vectors *= np.sign(np.sum(reference_vectors * v, axis=0))
+    assert np.abs(v - reference_vectors).max() <= 1e-12
+
+
+def test_pairs_closer_than_the_margin_stay_orthonormal():
+    # the r^2 form at N = 512, l = 26 has 4 pairs below 1e-12 ||A||_2 among its
+    # smallest eigenvalues; mixing their neighbours alone leaves them 5.5e-10 apart
+    a = radial_form(build_mesh(512, 1.0), 26)
+    w, v, norm = eigh_refined(a)
+    assert np.count_nonzero(np.diff(w) <= 1e-12 * norm) == 4
+    assert np.abs(v.T @ v - np.eye(len(a))).max() <= 16 * EPS
+
+
 def test_ascending_spectrum_skips_the_sort_bit_for_bit(monkeypatch):
     a = _yukawa_hamiltonian(size=200)
     w, v, _ = eigh_refined(a)
@@ -124,8 +135,8 @@ def test_ascending_spectrum_skips_the_sort_bit_for_bit(monkeypatch):
 
 
 def _plain_start(monkeypatch):
-    """Send every matrix to LAPACK as np.linalg.eigh(a), whatever its entries."""
-    monkeypatch.setattr(linalg, "_flushed", lambda a, out: None)
+    """Send every matrix to LAPACK as an unflushed copy, whatever its entries."""
+    monkeypatch.setattr(linalg, "_lapack_start", lambda a, out: np.copyto(out, a) or out)
 
 
 _FLUSHED_PROBLEMS = {f"table1-N{n}": gauss15(size=n, scale=0.5) for n in (10, 20, 50)}
@@ -139,7 +150,7 @@ _FLUSHED_PROBLEMS |= {
 def test_flushed_start_keeps_the_bound_energies_bit_for_bit(problem, monkeypatch):
     a = assemble_hamiltonian(problem)
     window = problem.kinetic.bound_window()
-    assert linalg._flushed(a, np.empty_like(a)) is not None  # the Gaussian tail is below its grid
+    assert not np.array_equal(linalg._lapack_start(a, np.empty_like(a)), a)  # the Gaussian tail is flushed
     w, v, norm = eigh_refined(a, window)
     _plain_start(monkeypatch)
     w_plain, v_plain, norm_plain = eigh_refined(a, window)
@@ -150,18 +161,47 @@ def test_flushed_start_keeps_the_bound_energies_bit_for_bit(problem, monkeypatch
     assert norm == pytest.approx(norm_plain, rel=1e-14)  # LAPACK's largest eigenvalue
 
 
+def _reversed(a):
+    """eigh_refined of a with its index order reversed, its vectors reversed back."""
+    w, v, norm = eigh_refined(a[::-1, ::-1].copy())
+    return w, v[::-1], norm
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: _yukawa_hamiltonian(size=400), lambda: radial_form(build_mesh(400, 1.0), 0)],
     ids=["yukawa_N400", "r2_N400"],
 )
-def test_matrix_on_its_double_grid_takes_the_plain_start(build, monkeypatch):
-    # no entry is below (eps/N) sqrt(|a_ii a_jj|): LAPACK gets a itself
+def test_every_lapack_start_gives_the_same_pairs(build, monkeypatch):
+    # LAPACK rotates its closest pairs (about 1.5e-10 ||A||_2 apart) differently from
+    # each start; every pair above the margin is mixed, so the refined ones agree
     a = build()
     w, v, norm = eigh_refined(a)
+    w_reversed, v_reversed, norm_reversed = _reversed(a)
     _plain_start(monkeypatch)
     w_plain, v_plain, norm_plain = eigh_refined(a)
-    assert w.tobytes() == w_plain.tobytes() and v.tobytes() == v_plain.tobytes() and norm == norm_plain
+    for w_other, v_other, norm_other in [(w_plain, v_plain, norm_plain), (w_reversed, v_reversed, norm_reversed)]:
+        assert w.tobytes() == w_other.tobytes() and norm == norm_other
+        v_other *= np.sign(np.sum(v * v_other, axis=0))
+        assert np.all(np.abs(v - v_other) <= np.spacing(np.abs(v).max(axis=0)))
+
+
+def test_mean_values_do_not_depend_on_the_blas_thread_count():
+    if linalg._blas_thread_calls() is None:
+        pytest.skip("the BLAS thread count cannot be set")
+    if _usable_cpus() < 2:
+        pytest.skip("one usable CPU: BLAS runs one thread either way")
+    problem = yukawa10(size=400, scale=0.8)
+
+    def cold_mean_values():
+        solver._solve_cached.cache_clear()
+        build_position_calculus.cache_clear()
+        return mean_values(solve(problem)[0], problem)
+
+    values = cold_mean_values()
+    with linalg._one_blas_thread():
+        one_thread = cold_mean_values()
+    assert values == one_thread  # floats compared exactly
 
 
 def test_flush_takes_the_local_grid_of_each_pair():
@@ -172,11 +212,10 @@ def test_flush_takes_the_local_grid_of_each_pair():
     a[0, 1] = a[1, 0] = 1e-17
     a[1, 2] = a[2, 1] = 1e-6
     a[0, 2] = a[2, 0] = 1e-17
-    start = linalg._flushed(a, np.empty_like(a))
+    start = linalg._lapack_start(a, np.empty_like(a))
     expected = a.copy()
     expected[0, 2] = expected[2, 0] = 0.0
     np.testing.assert_array_equal(start, expected)
-    assert linalg._flushed(np.diag([1.0, 2.0]), np.empty((2, 2))) is None  # zeros are on the grid
 
 
 def test_refinement_workspace_is_bounded():
@@ -318,6 +357,12 @@ def test_graded_matrix_is_not_flushed():
     w, *_ = eigh_refined(a)
     # correctly rounded, from a 700-digit mpmath solve
     np.testing.assert_array_equal(w, [0.79289321881345248, 2.2071067811865475, 1e200])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), (2, 2, 2)])
+def test_input_that_is_not_a_square_matrix_is_refused(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        eigh_refined(np.ones(shape))
 
 
 def test_eigenvalue_beyond_double_range_is_refused():
